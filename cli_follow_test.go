@@ -58,11 +58,13 @@ func waitFor(t *testing.T, what string, d time.Duration, cond func() bool) {
 }
 
 // TestCLIFollowKillResume is the tentpole acceptance test end to end:
-// dnstracegen writes a capture slowly while `entrada -follow -checkpoint`
-// ingests it; the follower is SIGKILLed mid-capture, restarted with
-// -resume once the writer finished, and its final report must be
-// byte-identical to a batch run over the completed capture. The window
-// telemetry (entrada_window_*) must be live on /metrics while following.
+// dnstracegen writes a capture slowly while `entrada -follow -checkpoint
+// -workers 2` ingests it; the follower is SIGKILLed mid-capture, restarted
+// with -resume (and a different -workers, which the checkpoint's shard
+// count must override) once the writer finished, and its final report must
+// be byte-identical to a batch run over the completed capture. The window
+// telemetry (entrada_window_*), the per-shard engine counters and the
+// checkpoint writer's telemetry must be live on /metrics while following.
 func TestCLIFollowKillResume(t *testing.T) {
 	bins := buildTools(t, "dnstracegen", "entrada")
 	dir := t.TempDir()
@@ -86,7 +88,7 @@ func TestCLIFollowKillResume(t *testing.T) {
 	// Follower #1: no idle-exit (a service follows forever), window width
 	// in capture time sized so a synthetic week closes a few dozen
 	// windows and checkpoints several times while the file grows.
-	follow1 := exec.Command(bins["entrada"], "-follow", "-in", live,
+	follow1 := exec.Command(bins["entrada"], "-follow", "-workers", "2", "-in", live,
 		"-window", "6h", "-checkpoint", ckDir,
 		"-metrics-addr", "127.0.0.1:0", "-out", filepath.Join(dir, "ignored.json"))
 	out1 := &syncBuilder{}
@@ -106,11 +108,19 @@ func TestCLIFollowKillResume(t *testing.T) {
 		return metricPositive(resp, "entrada_windows_closed_total") &&
 			metricPositive(resp, "entrada_window_queries") &&
 			strings.Contains(resp, "entrada_window_hhi") &&
-			strings.Contains(resp, `entrada_window_provider_share{provider=`)
+			strings.Contains(resp, `entrada_window_provider_share{provider=`) &&
+			metricPositive(resp, `pipeline_shard_packets_total{shard="1"}`) &&
+			strings.Contains(resp, `pipeline_queue_depth{shard="1"}`)
 	})
 	waitFor(t, "a checkpoint on disk", 15*time.Second, func() bool {
 		_, err := os.Stat(filepath.Join(ckDir, "entrada.ckpt"))
 		return err == nil
+	})
+	waitFor(t, "the checkpoint writer's telemetry", 15*time.Second, func() bool {
+		resp := httpGet(t, "http://"+maddr+"/metrics")
+		return metricPositive(resp, "entrada_checkpoint_seconds_count") &&
+			metricPositive(resp, "entrada_checkpoint_bytes") &&
+			strings.Contains(resp, "entrada_checkpoints_superseded_total")
 	})
 
 	// kill -9: no shutdown handler runs, only the checkpoint survives.
@@ -118,17 +128,26 @@ func TestCLIFollowKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _ = follow1.Process.Wait()
+	// What a SIGKILL between CreateTemp and Rename leaves behind; the next
+	// run has to clear it away.
+	staleTemp := filepath.Join(ckDir, "entrada.ckpt.tmp4242")
+	if err := os.WriteFile(staleTemp, []byte(`{"version":`), 0o600); err != nil {
+		t.Fatal(err)
+	}
 
 	<-writerDone
 
 	// Follower #2 resumes from the checkpoint, drains the now-complete
 	// capture and idle-exits.
 	followJSON := filepath.Join(dir, "follow.json")
-	out2 := runTool(t, bins["entrada"], "-follow", "-in", live,
+	out2 := runTool(t, bins["entrada"], "-follow", "-workers", "3", "-in", live,
 		"-window", "6h", "-checkpoint", ckDir, "-resume",
 		"-idle-exit", "1s", "-out", followJSON)
-	if !strings.Contains(out2, "resumed from checkpoint") {
-		t.Fatalf("follower #2 did not resume:\n%s", out2)
+	if !strings.Contains(out2, "resumed from checkpoint") || !strings.Contains(out2, ", 2 shards)") {
+		t.Fatalf("follower #2 did not resume under the checkpoint's 2 shards:\n%s", out2)
+	}
+	if _, err := os.Stat(staleTemp); !os.IsNotExist(err) {
+		t.Fatalf("stale checkpoint temp file survived the restart (stat err = %v)", err)
 	}
 	if !strings.Contains(out2, "Window series") {
 		t.Fatalf("follower #2 printed no window series:\n%s", out2)

@@ -14,12 +14,14 @@
 //
 // With -follow, entrada becomes a long-running service: it tails one
 // growing capture (waiting through torn final records until the writer
-// completes them), publishes a centralization time series in tumbling
-// -window intervals of capture time, and — with -checkpoint DIR —
-// persists analyzer state and read offset so a killed run restarted
-// with -resume produces the exact report an uninterrupted run would
-// have. SIGINT/SIGTERM flush the final partial window and write the
-// report; -idle-exit ends the run once the capture stops growing.
+// completes them) into the same -workers flow shards, publishes a
+// centralization time series in tumbling -window intervals of capture
+// time, and — with -checkpoint DIR — persists the shards' analyzer state
+// and the read offset in the background so a killed run restarted with
+// -resume produces the exact report an uninterrupted run would have
+// (-resume keeps the checkpoint's shard count, whatever -workers says).
+// SIGINT/SIGTERM flush the final partial window and write the report;
+// -idle-exit ends the run once the capture stops growing.
 package main
 
 import (
@@ -31,6 +33,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -139,7 +142,7 @@ func main() {
 			os.Exit(2)
 		}
 		if err := runFollow(inputs[0], followConfig{
-			registry: asReg, anOpts: anOpts, telemetry: reg,
+			registry: asReg, anOpts: anOpts, telemetry: reg, workers: *workers,
 			window: *window, checkpointDir: *ckDir, resume: *resume,
 			idleExit: *idleExit, progress: *progress, out: *out,
 		}); err != nil {
@@ -200,11 +203,15 @@ func main() {
 	}
 }
 
+// followGCPercent is the GC target of -follow mode; see runFollow.
+const followGCPercent = 65
+
 // followConfig carries the -follow flag set into runFollow.
 type followConfig struct {
 	registry      *astrie.Registry
 	anOpts        []entrada.Option
 	telemetry     *telemetry.Registry
+	workers       int
 	window        time.Duration
 	checkpointDir string
 	resume        bool
@@ -223,8 +230,19 @@ func runFollow(input string, cfg followConfig) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Most of what a follower holds is the AS registry, which never turns
+	// into garbage, yet at GOGC=100 the collector lets the heap grow by the
+	// registry's size again before every cycle. A service that stays
+	// resident gives a third of that allowance back: measured on a
+	// two-shard follower draining a backlog, ≈ 6 MiB off the peak for ≈ 5 %
+	// more CPU. GOGC in the environment still has the last word.
+	if _, set := os.LookupEnv("GOGC"); !set {
+		debug.SetGCPercent(followGCPercent)
+	}
+
 	sopts := pipeline.StreamOptions{
 		Options: pipeline.Options{
+			Workers:      cfg.workers,
 			Registry:     cfg.registry,
 			AnalyzerOpts: cfg.anOpts,
 			Telemetry:    cfg.telemetry,
@@ -240,7 +258,9 @@ func runFollow(input string, cfg followConfig) error {
 	}
 	if cfg.progress > 0 {
 		sopts.ProgressInterval = cfg.progress
-		sopts.Progress = func(st pipeline.Stats) { fmt.Fprintln(os.Stderr, st.String()) }
+		sopts.Progress = func(st pipeline.Stats) {
+			fmt.Fprintf(os.Stderr, "%s (queues %v)\n", st, st.QueueDepths)
+		}
 	}
 
 	ag, sres, err := pipeline.RunStream(ctx, input, sopts)
@@ -249,8 +269,8 @@ func runFollow(input string, cfg followConfig) error {
 		return err
 	}
 	if sres.Resumed {
-		fmt.Fprintf(os.Stderr, "entrada: resumed from checkpoint (%d windows closed before restart)\n",
-			sres.WindowsClosed-uint64(len(sres.Windows)))
+		fmt.Fprintf(os.Stderr, "entrada: resumed from checkpoint (%d windows closed before restart, %d shards)\n",
+			sres.WindowsClosed-uint64(len(sres.Windows)), sres.Stats.Workers)
 	}
 	// A long follow can close thousands of windows; cap the shutdown
 	// table at the most recent ones (the full series already went out
@@ -262,8 +282,8 @@ func runFollow(input string, cfg followConfig) error {
 		series = series[len(series)-maxRows:]
 	}
 	fmt.Fprint(os.Stderr, core.RenderWindowSeries(series))
-	fmt.Fprintf(os.Stderr, "%s [%d packets, offset %d, %d truncated tails, %d rotations]\n",
-		ag, sres.Stats.PacketsRead, sres.Offset, sres.TruncatedTails, sres.Rotations)
+	fmt.Fprintf(os.Stderr, "%s [%d packets, %d workers, offset %d, %d truncated tails, %d rotations]\n",
+		ag, sres.Stats.PacketsRead, sres.Stats.Workers, sres.Offset, sres.TruncatedTails, sres.Rotations)
 
 	rep := entrada.BuildReport(ag, cfg.registry)
 	return writeReport(rep, cfg.out)

@@ -150,6 +150,24 @@ func sortedAddrs(set map[netip.Addr]struct{}) []string {
 	return out
 }
 
+// addrList remembers what sortedAddrs returned for one of the analyzer's
+// resolver sets at the last MarshalState. Those sets only ever gain members
+// (finalize inserts, nothing deletes), so a set of unchanged size is an
+// unchanged set and its list is used again. Resolvers are most of a
+// checkpoint, their population stops growing early in a capture, and a
+// sharded run pays for every list once per shard.
+type addrList struct {
+	size   int
+	sorted []string
+}
+
+func (l *addrList) of(set map[netip.Addr]struct{}) []string {
+	if l.size != len(set) {
+		l.sorted, l.size = sortedAddrs(set), len(set)
+	}
+	return l.sorted
+}
+
 func histState(h *stats.Histogram) []intCount {
 	vals := h.Values() // already sorted ascending
 	out := make([]intCount, 0, len(vals))
@@ -196,12 +214,20 @@ func (a *Analyzer) MarshalState() ([]byte, error) {
 	st.Agg = aggState{
 		Total:           ag.Total,
 		Valid:           ag.Valid,
-		AllResolvers:    sortedAddrs(ag.AllResolvers),
+		AllResolvers:    a.allResolvers.of(ag.AllResolvers),
 		UDPResponses:    ag.UDPResponses,
 		TCPResponses:    ag.TCPResponses,
 		DroppedSegments: ag.DroppedSegments,
 	}
+	if a.resolvers == nil {
+		a.resolvers = make(map[astrie.Provider]*addrList)
+	}
 	for p, pa := range ag.ByProvider {
+		list := a.resolvers[p]
+		if list == nil {
+			list = &addrList{}
+			a.resolvers[p] = list
+		}
 		ps := providerState{
 			ID:               uint8(p),
 			Queries:          pa.Queries,
@@ -211,7 +237,7 @@ func (a *Analyzer) MarshalState() ([]byte, error) {
 			EDNSSizes:        histState(pa.EDNSSizes),
 			UDPResponses:     pa.UDPResponses,
 			TruncatedUDP:     pa.TruncatedUDP,
-			Resolvers:        sortedAddrs(pa.Resolvers),
+			Resolvers:        list.of(pa.Resolvers),
 			PublicDNSQueries: pa.PublicDNSQueries,
 			MinimizedQueries: pa.MinimizedQueries,
 		}

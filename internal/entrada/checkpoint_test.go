@@ -186,3 +186,60 @@ func TestQueryCountsSnapshot(t *testing.T) {
 		t.Fatalf("Finish() total %d below last snapshot %d", ag.Total, mid.Total)
 	}
 }
+
+// TestCheckpointRepeatedMarshal: MarshalState keeps the sorted resolver
+// lists of one call for the next and reuses those of sets that have not
+// grown. An analyzer that marshals at every stretch of a capture — as a
+// shard does at every checkpoint — must therefore produce, each time,
+// exactly the bytes an analyzer marshalling for the first time produces.
+func TestCheckpointRepeatedMarshal(t *testing.T) {
+	blob, g := checkpointCapture(t)
+	reg := g.Registry()
+	origin := WithZoneOrigin(g.Zone().Origin)
+	pkts := readAll(t, blob)
+
+	often, once := NewAnalyzer(reg, origin), NewAnalyzer(reg, origin)
+	reused := false
+	for i, p := range pkts {
+		often.HandlePacket(p.Timestamp, p.Data)
+		once.HandlePacket(p.Timestamp, p.Data)
+		// Unevenly spaced, and twice in a row at the end of each stretch: a
+		// marshal with no packet in between finds every set unchanged.
+		if i%97 != 0 && i%97 != 1 && i != len(pkts)-1 {
+			continue
+		}
+		before := len(often.allResolvers.sorted)
+		got, err := often.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before > 0 && before == len(often.agg.AllResolvers) {
+			reused = true
+		}
+		fresh, err := RestoreAnalyzer(reg, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("packet %d: a repeated marshal differs from a first marshal of the same state", i)
+		}
+	}
+	if !reused {
+		t.Fatal("no marshal ever found the resolver set unchanged: the reuse path went untested")
+	}
+	a, err := often.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := once.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("an analyzer that marshalled all along ends in a different state encoding than one that never did")
+	}
+}

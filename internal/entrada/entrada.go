@@ -12,6 +12,7 @@ package entrada
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"time"
 
 	"dnscentral/internal/astrie"
@@ -287,8 +288,18 @@ func (a *Analyzer) looksMinimized(q dnswire.Question) bool {
 	}
 	return q.Type == dnswire.TypeNS &&
 		dnswire.IsSubdomain(q.Name, a.origin) &&
-		dnswire.CountLabels(q.Name) <= dnswire.CountLabels(a.origin)+2 &&
+		labelCount(q.Name) <= labelCount(a.origin)+2 &&
 		dnswire.CanonicalName(q.Name) != a.origin
+}
+
+// labelCount is dnswire.CountLabels without the label slice: this runs for
+// every NS query of a capture, and splitting the name only to count the
+// pieces was a third of everything the analyzer allocated.
+func labelCount(name string) int {
+	if name == "" || name == "." {
+		return 0
+	}
+	return strings.Count(strings.TrimSuffix(name, "."), ".") + 1
 }
 
 // tcpStream reassembles one direction of a TCP connection in sequence
@@ -480,6 +491,10 @@ type Analyzer struct {
 	pending map[pendingKey]pendingQuery
 	conns   map[connKey]*tcpConn
 	curTS   time.Time
+
+	// MarshalState's sorted resolver lists, global and per provider.
+	allResolvers addrList
+	resolvers    map[astrie.Provider]*addrList
 
 	// Errors tolerated silently (malformed packets are counted, like
 	// ENTRADA's loader, not fatal).

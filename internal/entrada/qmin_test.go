@@ -90,3 +90,16 @@ func TestMinimizedHeuristicDirect(t *testing.T) {
 		t.Error("heuristic active without origin")
 	}
 }
+
+// TestLabelCountMatchesDNSWire: the analyzer's allocation-free label count
+// must agree with dnswire.CountLabels on every shape of name.
+func TestLabelCountMatchesDNSWire(t *testing.T) {
+	for _, name := range []string{
+		"", ".", "nl", "nl.", "NL.", "d5.nz.", "www.Example.NL", "a.b.c.d.e.f.nl.",
+		"a..b.", "..", "x.", `weird\.label.nl.`, "_dmarc.d1.nl.",
+	} {
+		if got, want := labelCount(name), dnswire.CountLabels(name); got != want {
+			t.Errorf("labelCount(%q) = %d, dnswire.CountLabels = %d", name, got, want)
+		}
+	}
+}

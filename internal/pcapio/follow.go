@@ -21,9 +21,10 @@ import (
 const DefaultFollowPoll = 50 * time.Millisecond
 
 type followConfig struct {
-	poll     time.Duration
-	idleExit time.Duration
-	resumeAt int64
+	poll       time.Duration
+	idleExit   time.Duration
+	resumeAt   int64
+	beforeWait func()
 }
 
 // FollowOption configures a FollowReader.
@@ -47,6 +48,28 @@ func FollowIdleExit(d time.Duration) FollowOption {
 // checkpointed offset resumes exactly after the last processed record.
 func FollowResumeAt(off int64) FollowOption {
 	return func(c *followConfig) { c.resumeAt = off }
+}
+
+// FollowBeforeWait makes the reader call fn, on the goroutine inside
+// ReadPacket, each time it is about to sleep for a poll interval because
+// the file has no complete record to give. A consumer that batches the
+// packets it reads flushes its partial batch there, so a quiet capture
+// holds nothing back.
+func FollowBeforeWait(fn func()) FollowOption {
+	return func(c *followConfig) { c.beforeWait = fn }
+}
+
+// wait sleeps one poll interval, or returns the context's error.
+func (c *followConfig) wait(ctx context.Context) error {
+	if c.beforeWait != nil {
+		c.beforeWait()
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(c.poll):
+		return nil
+	}
 }
 
 // FollowReader is a PacketReader that tails a growing pcap or pcapng
@@ -115,12 +138,11 @@ func (fr *FollowReader) open() error {
 				return fmt.Errorf("pcapio: follow stat: %w", serr)
 			}
 			fr.tail = &tailFile{
-				ctx:      fr.ctx,
-				f:        f,
-				path:     fr.path,
-				fi:       fi,
-				poll:     fr.cfg.poll,
-				idleExit: fr.cfg.idleExit,
+				ctx:  fr.ctx,
+				f:    f,
+				path: fr.path,
+				fi:   fi,
+				cfg:  &fr.cfg,
 			}
 			dec, derr := Open(fr.tail)
 			if derr != nil {
@@ -137,10 +159,8 @@ func (fr *FollowReader) open() error {
 		if !idleDeadline.IsZero() && time.Now().After(idleDeadline) {
 			return io.EOF
 		}
-		select {
-		case <-fr.ctx.Done():
-			return fr.ctx.Err()
-		case <-time.After(fr.cfg.poll):
+		if err := fr.cfg.wait(fr.ctx); err != nil {
+			return err
 		}
 	}
 }
@@ -209,12 +229,11 @@ func (fr *FollowReader) ReadPacket() (Packet, error) {
 // file becomes a poll-and-retry loop that only reports io.EOF when the
 // file rotates away or stays quiet past the idle-exit deadline.
 type tailFile struct {
-	ctx      context.Context
-	f        *os.File
-	path     string
-	fi       os.FileInfo
-	poll     time.Duration
-	idleExit time.Duration
+	ctx  context.Context
+	f    *os.File
+	path string
+	fi   os.FileInfo
+	cfg  *followConfig
 
 	delivered int64
 	rotated   bool
@@ -222,8 +241,8 @@ type tailFile struct {
 
 func (t *tailFile) Read(p []byte) (int, error) {
 	var idleDeadline time.Time
-	if t.idleExit > 0 {
-		idleDeadline = time.Now().Add(t.idleExit)
+	if t.cfg.idleExit > 0 {
+		idleDeadline = time.Now().Add(t.cfg.idleExit)
 	}
 	for {
 		n, err := t.f.Read(p)
@@ -244,10 +263,8 @@ func (t *tailFile) Read(p []byte) (int, error) {
 		if !idleDeadline.IsZero() && time.Now().After(idleDeadline) {
 			return 0, io.EOF
 		}
-		select {
-		case <-t.ctx.Done():
-			return 0, t.ctx.Err()
-		case <-time.After(t.poll):
+		if err := t.cfg.wait(t.ctx); err != nil {
+			return 0, err
 		}
 	}
 }

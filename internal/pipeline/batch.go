@@ -9,9 +9,14 @@ import (
 // Frame bytes are packed into a single arena buffer so a full batch costs
 // two allocations instead of one per packet (pcap readers reuse their
 // internal buffer, so every dispatched frame must be copied anyway).
+//
+// A batch with bar set is a barrier marker: it carries no packets and
+// travels the same queue, so the worker meets it exactly after every
+// packet dispatched before it and before every packet dispatched after.
 type batch struct {
 	buf  []byte
 	pkts []pktRef
+	bar  *barrier
 }
 
 // pktRef locates one packet inside the batch arena.
@@ -34,6 +39,7 @@ func (b *batch) full(maxPackets, maxBytes int) bool {
 func (b *batch) reset() {
 	b.buf = b.buf[:0]
 	b.pkts = b.pkts[:0]
+	b.bar = nil
 }
 
 // newBatchPool builds the recycling pool batches flow through: dispatcher

@@ -41,6 +41,7 @@ var ErrClosed = errors.New("pipeline: engine is closed")
 // shard is one worker: a bounded queue feeding a dedicated analyzer. depth
 // is this worker's queue gauge inside the run-wide counters.
 type shard struct {
+	idx   int // position among the engine's shards
 	ch    chan *batch
 	an    *entrada.Analyzer
 	depth *atomic.Int64
@@ -63,26 +64,37 @@ func NewEngine(ctx context.Context, opts Options) (*Engine, error) {
 	if opts.Registry == nil {
 		return nil, errors.New("pipeline: Options.Registry is required")
 	}
-	return newEngine(ctx, opts.Workers, 0, newCounters(opts.Workers, opts.Telemetry), opts), nil
+	return newEngine(ctx, newAnalyzers(opts.Workers, opts), 0, newCounters(opts.Workers, opts.Telemetry), opts), nil
 }
 
-// newEngine wires shards workers whose queue-depth gauges live at
-// cnt.depths[slotOffset:slotOffset+shards] (Run packs several engines'
+// newAnalyzers builds n fresh shard analyzers.
+func newAnalyzers(n int, opts Options) []*entrada.Analyzer {
+	ans := make([]*entrada.Analyzer, n)
+	for i := range ans {
+		ans[i] = entrada.NewAnalyzer(opts.Registry, opts.AnalyzerOpts...)
+	}
+	return ans
+}
+
+// newEngine wires one shard worker per analyzer (fresh ones, or the
+// restored shards of a checkpoint) whose queue-depth gauges live at
+// cnt.depths[slotOffset:slotOffset+len(ans)] (Run packs several engines'
 // workers into one budget-wide depth array).
-func newEngine(ctx context.Context, shards, slotOffset int, cnt *counters, opts Options) *Engine {
+func newEngine(ctx context.Context, ans []*entrada.Analyzer, slotOffset int, cnt *counters, opts Options) *Engine {
 	e := &Engine{
 		ctx:        ctx,
-		fill:       make([]*batch, shards),
+		fill:       make([]*batch, len(ans)),
 		pool:       newBatchPool(opts.BatchBytes, opts.BatchSize),
 		cnt:        cnt,
 		batchSize:  opts.BatchSize,
 		batchBytes: opts.BatchBytes,
 	}
-	for i := 0; i < shards; i++ {
+	for i, an := range ans {
 		slot := slotOffset + i
 		sh := &shard{
+			idx:   i,
 			ch:    make(chan *batch, opts.QueueDepth),
-			an:    entrada.NewAnalyzer(opts.Registry, opts.AnalyzerOpts...),
+			an:    an,
 			depth: &cnt.depths[slot],
 			done:  make(chan struct{}),
 		}
@@ -129,6 +141,12 @@ func (sh *shard) run(cnt *counters, pool *sync.Pool) {
 			sh.tmDropped.Add(d - lastDropped)
 			lastDropped = d
 		}
+		if bar := b.bar; bar != nil {
+			bar.visit(sh.idx, sh.an)
+			if bar.pending.Add(-1) == 0 {
+				bar.done()
+			}
+		}
 		b.reset()
 		pool.Put(b)
 	}
@@ -165,6 +183,11 @@ func (e *Engine) flush(s int) error {
 		return nil
 	}
 	e.fill[s] = nil
+	return e.send(s, b)
+}
+
+// send queues b on shard s, blocking while the queue is full.
+func (e *Engine) send(s int, b *batch) error {
 	n := uint64(len(b.pkts)) // the worker owns b once the send succeeds
 	select {
 	case e.shards[s].ch <- b:
@@ -176,6 +199,50 @@ func (e *Engine) flush(s int) error {
 	}
 }
 
+// flushAll sends every shard's in-progress batch. A dispatcher that is
+// about to wait for input calls it so that no packet sits in a partial
+// batch for longer than the wait.
+func (e *Engine) flushAll() error {
+	for s := range e.shards {
+		if err := e.flush(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// barrier is a cut across the shards: a marker that travels every shard's
+// queue behind the packets dispatched so far. Each worker calls visit with
+// its analyzer when it reaches the marker, and the worker that is last to
+// do so calls done. Workers reach successive barriers in dispatch order,
+// so done callbacks run in that order too.
+type barrier struct {
+	visit   func(shard int, an *entrada.Analyzer)
+	done    func()
+	pending atomic.Int32
+}
+
+// barrier flushes the partial batches and sends a marker down every queue.
+// It returns once the markers are queued, not once they are reached.
+func (e *Engine) barrier(visit func(shard int, an *entrada.Analyzer), done func()) error {
+	if e.closed {
+		return ErrClosed
+	}
+	if err := e.flushAll(); err != nil {
+		return err
+	}
+	bar := &barrier{visit: visit, done: done}
+	bar.pending.Store(int32(len(e.shards)))
+	for s := range e.shards {
+		b := e.pool.Get().(*batch)
+		b.bar = bar
+		if err := e.send(s, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Close flushes the in-progress batches, joins the workers, and returns
 // the merged aggregates. After a context cancellation Close still joins
 // cleanly and returns the context error alongside the partial result.
@@ -184,12 +251,7 @@ func (e *Engine) Close() (*entrada.Aggregates, error) {
 		return nil, ErrClosed
 	}
 	e.closed = true
-	var err error
-	for s := range e.shards {
-		if ferr := e.flush(s); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
+	err := e.flushAll()
 	for _, sh := range e.shards {
 		close(sh.ch)
 	}

@@ -42,7 +42,7 @@ type Options struct {
 	Registry *astrie.Registry
 	// AnalyzerOpts are applied to every shard analyzer.
 	AnalyzerOpts []entrada.Option
-	// QueueDepth bounds each worker's queue, in batches (default 32).
+	// QueueDepth bounds each worker's queue, in batches (default 4).
 	// Together with BatchBytes it caps buffered memory at roughly
 	// Workers × QueueDepth × BatchBytes — no unbounded buffering no
 	// matter how large the capture is.
@@ -67,7 +67,7 @@ func (o Options) withDefaults() Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.QueueDepth <= 0 {
-		o.QueueDepth = 32
+		o.QueueDepth = 4
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 256
@@ -227,7 +227,7 @@ func runParallel(parent context.Context, readers []pcapio.PacketReader, opts Opt
 		go func(j, shards, offset int) {
 			defer wg.Done()
 			for idx := range jobs {
-				eng := newEngine(ctx, shards, offset, cnt, opts)
+				eng := newEngine(ctx, newAnalyzers(shards, opts), offset, cnt, opts)
 				rerr := drainReader(readers[idx], eng, &perFile[idx], cnt)
 				shardAgg, cerr := eng.Close()
 				perFile[idx].malformed.Store(eng.Malformed())

@@ -1,12 +1,17 @@
 // Streaming mode: the continuous-operation counterpart of Run. Instead
 // of one end-of-run merge over finite files, RunStream tails a single
-// growing capture, snapshots the analyzer's cumulative query counts at
-// tumbling window boundaries (windows are deltas of two snapshots — the
-// analyzer itself is never flushed mid-run, which is what keeps the
-// final aggregates identical to a batch pass), publishes every closed
-// window through telemetry as the paper's centralization time series,
-// and checkpoints full analyzer state + read offset so a killed run
-// resumes with byte-identical final aggregates.
+// growing capture into the flow-shard Engine. At every tumbling window
+// boundary the reader sends a marker down each shard's queue; a shard
+// that reaches it snapshots its analyzer's cumulative query counts (and,
+// when a checkpoint is due, its full state), so the snapshots of one
+// marker together are a consistent cut: every packet before the boundary
+// and none after it. Windows are deltas of two cuts — no analyzer is ever
+// flushed mid-run, which is what keeps the final aggregates identical to
+// a batch pass — and are published through telemetry as the paper's
+// centralization time series. Checkpoints (shard states + read offset at
+// the cut) are written by a background goroutine, so a killed run resumes
+// with byte-identical final aggregates and the packet path never waits
+// for a disk.
 package pipeline
 
 import (
@@ -16,9 +21,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
+	"dnscentral/internal/astrie"
 	"dnscentral/internal/entrada"
 	"dnscentral/internal/pcapio"
 	"dnscentral/internal/stats"
@@ -63,23 +68,27 @@ type Window struct {
 	Top1   float64
 }
 
-// StreamOptions configures RunStream. The embedded Options supply the
-// registry, analyzer options, telemetry and progress reporting; Workers,
-// QueueDepth, BatchSize and BatchBytes are ignored — a followed capture
-// is writer-rate-limited, so streaming runs one sequential analyzer
-// (which is also what makes checkpoint state well-defined at every
-// packet boundary).
+// StreamOptions configures RunStream. The embedded Options mean what they
+// mean to Run: Workers is the number of flow shards behind the reader
+// (one is simply one shard), QueueDepth, BatchSize and BatchBytes shape
+// their queues. A resumed run adopts the shard count of its checkpoint
+// instead of Workers, because the checkpointed flow state is only valid
+// under the sharding that produced it.
 type StreamOptions struct {
 	Options
 
 	// Window is the tumbling-window width in capture time (default 1m).
 	Window time.Duration
 	// OnWindow, when set, receives every closed window (including the
-	// final partial one at shutdown).
+	// final partial one at shutdown), in order, on one goroutine that is
+	// not the caller's. A slow OnWindow delays the windows behind it and,
+	// once the shard queues fill, the reader.
 	OnWindow func(Window)
 	// CheckpointDir, when non-empty, enables checkpointing: state is
-	// written atomically (temp file + rename) to CheckpointDir/entrada.ckpt
-	// every CheckpointEvery closed windows and once at shutdown.
+	// written atomically (temp file + fsync + rename) to
+	// CheckpointDir/entrada.ckpt every CheckpointEvery closed windows, in
+	// the background, and once at shutdown. When windows close faster than
+	// the disk takes checkpoints, the newest one waiting replaces the older.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in windows (default 4).
 	CheckpointEvery int
@@ -113,132 +122,122 @@ type StreamResult struct {
 	Stats Stats
 }
 
-// checkpointName is the state file RunStream maintains in CheckpointDir.
-const checkpointName = "entrada.ckpt"
-
-// streamCheckpoint is the envelope around the analyzer state: enough to
-// re-open the input at the right offset and keep window accounting
-// continuous across restarts.
-type streamCheckpoint struct {
-	Version       int             `json:"version"`
-	Input         string          `json:"input"`
-	Offset        int64           `json:"offset"`
-	WindowNanos   int64           `json:"window_nanos"`
-	WindowsClosed uint64          `json:"windows_closed"`
-	Analyzer      json.RawMessage `json:"analyzer"`
+// sumCounts adds up the shards' cumulative counts.
+func sumCounts(shards []entrada.QueryCounts) entrada.QueryCounts {
+	sum := entrada.QueryCounts{ByProvider: make(map[astrie.Provider]uint64)}
+	for _, qc := range shards {
+		sum.Total += qc.Total
+		for p, n := range qc.ByProvider {
+			sum.ByProvider[p] += n
+		}
+	}
+	return sum
 }
 
-// writeCheckpoint persists atomically: a crash mid-write leaves the
-// previous checkpoint intact, never a torn one.
-func writeCheckpoint(dir string, ck streamCheckpoint) error {
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return fmt.Errorf("pipeline: encoding checkpoint: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, checkpointName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("pipeline: checkpoint temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, checkpointName)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: publishing checkpoint: %w", err)
-	}
-	return nil
-}
-
-// loadCheckpoint reads the checkpoint if one exists; ok=false means a
-// fresh start.
-func loadCheckpoint(dir string) (streamCheckpoint, bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
-	if errors.Is(err, os.ErrNotExist) {
-		return streamCheckpoint{}, false, nil
-	}
-	if err != nil {
-		return streamCheckpoint{}, false, fmt.Errorf("pipeline: reading checkpoint: %w", err)
-	}
-	var ck streamCheckpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return streamCheckpoint{}, false, fmt.Errorf("pipeline: decoding checkpoint: %w", err)
-	}
-	if ck.Version != entrada.CheckpointVersion {
-		return streamCheckpoint{}, false, fmt.Errorf("pipeline: checkpoint version %d, want %d", ck.Version, entrada.CheckpointVersion)
-	}
-	return ck, true, nil
-}
-
-// windowTracker turns cumulative analyzer counts into tumbling windows.
-// Windows are keyed by capture time (pkt.Timestamp / width, the same
-// bucketing Aggregates.Hourly uses at hour scale), so they are stable
-// across restarts and replay speed. A timestamp regression stays in the
-// current window — capture time at one server is near-monotonic, and
-// never going backwards keeps window emission monotone.
-type windowTracker struct {
-	width    time.Duration
-	an       *entrada.Analyzer
+// collector turns completed cuts into the window series and into
+// checkpoints. It runs the functions sent to do, one at a time and in
+// order: the last shard to reach a marker sends one, and markers are
+// reached in the order the reader issued them. Windows are keyed by capture
+// time (pkt.Timestamp / width, the same bucketing Aggregates.Hourly uses at
+// hour scale), so they are stable across restarts and replay speed, and
+// each is the difference between two cuts' summed counts: a query is
+// finalized by packets of its own flow alone, so that difference does not
+// depend on how many shards the flows are spread over.
+type collector struct {
+	opts     *StreamOptions
+	do       chan func()
+	done     chan struct{}
 	baseline entrada.QueryCounts
-	cur      int64
-	open     bool
+	writer   *checkpointWriter // nil without a CheckpointDir
+
+	// Owned by run until done is closed.
+	res *StreamResult
+	err error // the first shard or checkpoint-write error
 }
 
-// observe notes a packet timestamp before it is handled, returning the
-// windows (usually zero or one) that close because this packet starts a
-// later one.
-func (w *windowTracker) observe(ts time.Time) []Window {
-	idx := ts.UnixNano() / int64(w.width)
-	if !w.open {
-		w.cur, w.open = idx, true
-		return nil
+func (c *collector) run() {
+	defer close(c.done)
+	for f := range c.do {
+		f()
 	}
-	if idx <= w.cur {
-		return nil
+	if c.writer != nil {
+		if err := c.writer.close(); err != nil && c.err == nil {
+			c.err = err
+		}
 	}
-	win := w.close()
-	w.cur = idx
-	return []Window{win}
 }
 
-// close snapshots the delta since the last boundary as one Window and
-// advances the baseline. Non-destructive: only numeric snapshots, the
-// analyzer's join and reassembly state is untouched.
-func (w *windowTracker) close() Window {
-	now := w.an.QueryCounts()
+// closeWindow emits the window that ends at a cut with these per-shard
+// counts. The shutdown cut ends a partial window, which gets its line
+// whenever a packet of this run opened it, even if no query was finalized
+// in it; a run that resumes from the shutdown checkpoint emits the rest of
+// that window under the same index (window emission is at-least-once; the
+// aggregates are exact).
+func (c *collector) closeWindow(index int64, open bool, counts []entrada.QueryCounts) {
+	if open {
+		c.emit(c.window(index, sumCounts(counts)))
+	}
+}
+
+// window builds the window that ends at a cut whose summed counts are now,
+// and makes now the baseline of the next one.
+func (c *collector) window(index int64, now entrada.QueryCounts) Window {
+	width := c.opts.Window
 	win := Window{
-		Index:     w.cur,
-		Start:     time.Unix(0, w.cur*int64(w.width)).UTC(),
-		Duration:  w.width,
-		Queries:   now.Total - w.baseline.Total,
+		Index:     index,
+		Start:     time.Unix(0, index*int64(width)).UTC(),
+		Duration:  width,
+		Queries:   now.Total - c.baseline.Total,
 		Providers: make(map[string]uint64),
 	}
 	for p, n := range now.ByProvider {
-		if d := n - w.baseline.ByProvider[p]; d > 0 {
+		if d := n - c.baseline.ByProvider[p]; d > 0 {
 			win.Providers[p.String()] = d
 		}
 	}
 	win.Shares = stats.Shares(win.Providers)
 	win.HHI = stats.HHI(win.Shares)
 	win.Top1 = stats.TopShare(win.Shares, 1)
-	w.baseline = now
+	c.baseline = now
 	return win
 }
 
-// RunStream follows one growing capture file through a single sequential
-// analyzer, emitting tumbling windows and (optionally) checkpoints, and
+func (c *collector) emit(win Window) {
+	tm := c.opts.Telemetry
+	c.res.Windows = append(c.res.Windows, win)
+	c.res.WindowsClosed++
+	tm.Counter(MetricWindowsClosed).Inc()
+	tm.Gauge(MetricWindowQueries).Set(int64(win.Queries))
+	tm.Gauge(MetricWindowStart).Set(win.Start.Unix())
+	tm.FloatGauge(MetricWindowQPS).Set(float64(win.Queries) / win.Duration.Seconds())
+	tm.FloatGauge(MetricWindowHHI).Set(win.HHI)
+	tm.FloatGauge(MetricWindowTopShare).Set(win.Top1)
+	for name, n := range win.Providers {
+		share := stats.Ratio(n, win.Queries)
+		tm.FloatGauge(MetricWindowProviderShare + `{provider="` + name + `"}`).Set(share)
+	}
+	if c.opts.OnWindow != nil {
+		c.opts.OnWindow(win)
+	}
+}
+
+// checkpoint hands a cut's shard states to the background writer.
+func (c *collector) checkpoint(head checkpointHeader, issued time.Time, states []json.RawMessage, errs []error) {
+	for _, err := range errs {
+		if err != nil && c.err == nil {
+			c.err = err
+		}
+	}
+	if c.err == nil {
+		c.writer.submit(pendingCheckpoint{ck: streamCheckpoint{checkpointHeader: head, Shards: states}, issued: issued})
+	}
+}
+
+// RunStream follows one growing capture file through the flow-shard
+// engine, emitting tumbling windows and (optionally) checkpoints, and
 // returns the final aggregates — byte-identical to what a batch Run over
-// the same finished capture would produce, even across a kill+resume.
+// the same finished capture would produce, for any worker count and even
+// across a kill+resume.
 func RunStream(ctx context.Context, input string, opts StreamOptions) (*entrada.Aggregates, StreamResult, error) {
 	opts.Options = opts.Options.withDefaults()
 	if opts.Registry == nil {
@@ -255,7 +254,7 @@ func RunStream(ctx context.Context, input string, opts StreamOptions) (*entrada.
 	}
 
 	res := StreamResult{}
-	var an *entrada.Analyzer
+	var shards []*entrada.Analyzer
 	var resumeOff int64
 	if opts.Resume {
 		if opts.CheckpointDir == "" {
@@ -270,26 +269,57 @@ func RunStream(ctx context.Context, input string, opts StreamOptions) (*entrada.
 				return nil, res, fmt.Errorf("pipeline: checkpoint window %v != configured %v",
 					time.Duration(ck.WindowNanos), opts.Window)
 			}
-			restored, err := entrada.RestoreAnalyzer(opts.Registry, ck.Analyzer)
-			if err != nil {
+			if shards, err = ck.restoreShards(opts.Registry); err != nil {
 				return nil, res, err
 			}
-			an = restored
+			opts.Workers = len(shards)
 			resumeOff = ck.Offset
 			res.WindowsClosed = ck.WindowsClosed
 			res.Resumed = true
 		}
 	}
-	if an == nil {
-		an = entrada.NewAnalyzer(opts.Registry, opts.AnalyzerOpts...)
+	if shards == nil {
+		shards = newAnalyzers(opts.Workers, opts.Options)
 	}
+
+	col := &collector{
+		opts: &opts,
+		do:   make(chan func()),
+		done: make(chan struct{}),
+		res:  &res,
+	}
+	// The restored counts are the cut the checkpoint was taken at: a window
+	// boundary, or wherever the previous run shut down.
+	restored := make([]entrada.QueryCounts, len(shards))
+	for i, an := range shards {
+		restored[i] = an.QueryCounts()
+	}
+	col.baseline = sumCounts(restored)
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
 			return nil, res, fmt.Errorf("pipeline: checkpoint dir: %w", err)
 		}
+		if err := sweepCheckpointTemps(opts.CheckpointDir); err != nil {
+			return nil, res, err
+		}
+		col.writer = startCheckpointWriter(opts.CheckpointDir, opts.Telemetry)
 	}
+	go col.run()
 
-	fopts := []pcapio.FollowOption{pcapio.FollowPoll(opts.Poll)}
+	cnt := newCounters(len(shards), opts.Telemetry)
+	stopProgress := startProgress(cnt, opts.Options, 1)
+	defer stopProgress()
+	// ctx ends the reading, not the engine: after SIGINT/SIGTERM the shards
+	// still have to reach the final marker and be joined.
+	eng := newEngine(context.WithoutCancel(ctx), shards, 0, cnt, opts.Options)
+
+	fopts := []pcapio.FollowOption{
+		pcapio.FollowPoll(opts.Poll),
+		// A quiet capture must not strand packets in a partial batch ahead
+		// of a marker or a shutdown. The engine's context is never
+		// cancelled, so flushAll cannot fail.
+		pcapio.FollowBeforeWait(func() { _ = eng.flushAll() }),
+	}
 	if opts.IdleExit > 0 {
 		fopts = append(fopts, pcapio.FollowIdleExit(opts.IdleExit))
 	}
@@ -299,88 +329,72 @@ func RunStream(ctx context.Context, input string, opts StreamOptions) (*entrada.
 	fr := pcapio.NewFollowReader(ctx, input, fopts...)
 	defer fr.Close()
 
-	cnt := newCounters(1, opts.Telemetry)
-	stopProgress := startProgress(cnt, opts.Options, 1)
-	defer stopProgress()
-
-	tmWindows := opts.Telemetry.Counter(MetricWindowsClosed)
-	tmWinQueries := opts.Telemetry.Gauge(MetricWindowQueries)
-	tmWinStart := opts.Telemetry.Gauge(MetricWindowStart)
-	tmWinQPS := opts.Telemetry.FloatGauge(MetricWindowQPS)
-	tmWinHHI := opts.Telemetry.FloatGauge(MetricWindowHHI)
-	tmWinTop := opts.Telemetry.FloatGauge(MetricWindowTopShare)
-
-	tracker := &windowTracker{width: opts.Window, an: an, baseline: an.QueryCounts()}
-	// On resume the restored counts ARE the last boundary snapshot: the
-	// checkpoint below is only ever written at a window boundary before
-	// the boundary-crossing packet is handled.
-
-	emit := func(win Window) {
-		res.Windows = append(res.Windows, win)
-		res.WindowsClosed++
-		tmWindows.Inc()
-		tmWinQueries.Set(int64(win.Queries))
-		tmWinStart.Set(win.Start.Unix())
-		tmWinQPS.Set(float64(win.Queries) / win.Duration.Seconds())
-		tmWinHHI.Set(win.HHI)
-		tmWinTop.Set(win.Top1)
-		for name, n := range win.Providers {
-			share := stats.Ratio(n, win.Queries)
-			opts.Telemetry.FloatGauge(MetricWindowProviderShare + `{provider="` + name + `"}`).Set(share)
-		}
-		if opts.OnWindow != nil {
-			opts.OnWindow(win)
-		}
-	}
-	checkpoint := func(off int64) error {
-		if opts.CheckpointDir == "" {
-			return nil
-		}
-		state, err := an.MarshalState()
-		if err != nil {
+	var (
+		cur     int64 // index of the open window
+		open    bool
+		closed  = res.WindowsClosed // windows closed by a later packet, restarts included
+		prevOff = resumeOff         // offset of the last dispatched (or skipped) record
+	)
+	// issue cuts the stream here: a marker goes down every shard's queue,
+	// behind every packet dispatched so far, and the shards' counts at it
+	// close the open window. When a checkpoint is due a second marker
+	// follows at the same position for the shards' states, so that the
+	// window line does not wait for the marshalling. A checkpoint that the
+	// background writer failed to write fails the run at the next cut.
+	issue := func(ckpt bool) error {
+		counts := make([]entrada.QueryCounts, len(shards))
+		window, isOpen := cur, open
+		err := eng.barrier(
+			func(i int, an *entrada.Analyzer) { counts[i] = an.QueryCounts() },
+			func() { col.do <- func() { col.closeWindow(window, isOpen, counts) } })
+		if err != nil || col.writer == nil {
 			return err
 		}
-		return writeCheckpoint(opts.CheckpointDir, streamCheckpoint{
-			Version:       entrada.CheckpointVersion,
-			Input:         input,
-			Offset:        off,
-			WindowNanos:   int64(opts.Window),
-			WindowsClosed: res.WindowsClosed,
-			Analyzer:      state,
-		})
+		if err := col.writer.failed(); err != nil || !ckpt {
+			return err
+		}
+		head := checkpointHeader{
+			Version: streamCheckpointVersion, Input: input, Offset: prevOff,
+			WindowNanos: int64(opts.Window), WindowsClosed: closed,
+		}
+		issued := time.Now()
+		states, errs := make([]json.RawMessage, len(shards)), make([]error, len(shards))
+		return eng.barrier(
+			func(i int, an *entrada.Analyzer) { states[i], errs[i] = an.MarshalState() },
+			func() { col.do <- func() { col.checkpoint(head, issued, states, errs) } })
 	}
 
 	var runErr error
-	prevOff := resumeOff // offset of the last handled (or skipped) record
-	for {
+	for n := 1; ; n++ {
 		pkt, rerr := fr.ReadPacket()
 		if rerr != nil {
-			if rerr == io.EOF {
-				break // idle-exit: the capture stopped growing
+			// io.EOF is idle-exit: the capture stopped growing. A cancelled
+			// ctx is graceful shutdown (SIGINT/SIGTERM): flush the final
+			// window below, keep what we have.
+			if rerr != io.EOF && ctx.Err() == nil {
+				runErr = rerr
 			}
-			if ctx.Err() != nil {
-				// Graceful shutdown (SIGINT/SIGTERM through ctx): flush
-				// the final window below, keep what we have.
-				break
-			}
-			runErr = rerr
 			break
 		}
-		for _, win := range tracker.observe(pkt.Timestamp) {
-			emit(win)
-			if res.WindowsClosed%uint64(opts.CheckpointEvery) == 0 {
-				// Checkpoint at the boundary, before the packet that
-				// crossed it is handled: prevOff excludes that packet, so
-				// a resume re-reads it and no packet is lost or doubled.
-				if err := checkpoint(prevOff); err != nil {
-					return nil, res, err
-				}
+		idx := pkt.Timestamp.UnixNano() / int64(opts.Window)
+		if !open {
+			cur, open = idx, true
+		} else if idx > cur {
+			// The cut goes in before the packet that crossed the boundary
+			// is dispatched and prevOff excludes that packet, so a resume
+			// re-reads it and no packet is lost or doubled. A timestamp
+			// that goes backwards stays in the open window: capture time at
+			// one server is near-monotonic, and never reopening a window
+			// keeps the series monotone.
+			closed++
+			if runErr = issue(closed%uint64(opts.CheckpointEvery) == 0); runErr != nil {
+				break
 			}
+			cur = idx
 		}
-		n := cnt.read.Add(1)
-		an.HandlePacket(pkt.Timestamp, pkt.Data)
-		cnt.dispatched.Add(1)
-		cnt.tmPackets.Add(1)
+		if runErr = eng.WritePacket(pkt.Timestamp, pkt.Data); runErr != nil {
+			break
+		}
 		prevOff = fr.Offset()
 		if n%1024 == 0 && ctx.Err() != nil {
 			// The follow reader only notices cancellation when a read
@@ -391,41 +405,31 @@ func RunStream(ctx context.Context, input string, opts StreamOptions) (*entrada.
 		}
 	}
 
-	// Shutdown sequence. Checkpoint FIRST — Finish() flushes pending
-	// queries and must not contaminate the state a resume restores.
-	if runErr == nil {
-		if err := checkpoint(prevOff); err != nil {
-			return nil, res, err
-		}
-	}
-	// Flush the final (partial) window so the series covers every query
-	// seen so far. Around a restart the same window index can be emitted
-	// twice (the remainder after resume) — window emission is
-	// at-least-once; the aggregates themselves are exact.
-	if tracker.open {
-		if win := tracker.close(); win.Queries > 0 || len(res.Windows) == 0 {
-			emit(win)
+	// Shutdown. The final cut is taken in-band, so its shard states are
+	// marshalled before Close lets Finish flush the pending queries into
+	// them; a run that failed leaves the last good checkpoint alone.
+	ferr := issue(runErr == nil)
+	agg, cerr := eng.Close()
+	// Close joined the workers, so every cut has reached the collector.
+	close(col.do)
+	<-col.done
+	for _, err := range []error{ferr, cerr, col.err} {
+		if runErr == nil {
+			runErr = err
 		}
 	}
 
-	agg := an.Finish()
-	cnt.malformed.Add(an.MalformedPackets)
-	cnt.unmatched.Add(an.UnmatchedResp)
-	cnt.dropped.Add(agg.DroppedSegments)
 	cnt.truncated.Add(fr.TruncatedTails())
-	cnt.tmMalformed.Add(an.MalformedPackets)
-	cnt.tmUnmatched.Add(an.UnmatchedResp)
-	cnt.tmDropped.Add(agg.DroppedSegments)
 	cnt.tmTruncated.Add(fr.TruncatedTails())
 	stopProgress()
 
 	res.Offset = fr.Offset()
 	res.TruncatedTails = fr.TruncatedTails()
 	res.Rotations = fr.Rotations()
-	res.Stats = cnt.snapshot(1, 1)
+	res.Stats = cnt.snapshot(len(shards), 1)
 	res.Stats.PerFile = []FileStats{{
 		Packets:        res.Stats.PacketsRead,
-		Malformed:      an.MalformedPackets,
+		Malformed:      eng.Malformed(),
 		TruncatedTails: fr.TruncatedTails(),
 	}}
 	if opts.Progress != nil {

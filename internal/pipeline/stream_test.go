@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,37 +26,127 @@ func streamOpts(o StreamOptions) StreamOptions {
 	return o
 }
 
-// TestStreamMatchesBatch: following a finished capture to idle-exit must
-// produce aggregates byte-identical to the batch Run over the same file
-// — the windowing machinery must be invisible to the final result.
-func TestStreamMatchesBatch(t *testing.T) {
-	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 4000, 5)
-	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
+// writeCapture puts a capture where RunStream can follow it.
+func writeCapture(t testing.TB, blob []byte) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "cap.pcap")
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// withRetransmits repeats every ninth frame of a capture a millisecond
+// later: repeated UDP queries (the earlier one is finalized unanswered),
+// repeated responses (unmatched) and repeated TCP segments (reassembly
+// sees an overlap), which the generator itself never emits.
+func withRetransmits(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	r, err := pcapio.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := pcapio.NewWriter(&buf, pcapio.WithNanosecondResolution())
+	for n := 0; ; n++ {
+		pkt, err := r.ReadPacket()
+		if err != nil {
+			break
+		}
+		if err := w.WritePacket(pkt.Timestamp, pkt.Data); err != nil {
+			t.Fatal(err)
+		}
+		if n%9 == 0 {
+			if err := w.WritePacket(pkt.Timestamp.Add(time.Millisecond), pkt.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStreamMatchesBatch: following a finished capture to idle-exit must
+// produce aggregates byte-identical to the batch Run over the same file,
+// for any number of shards — the windowing machinery must be invisible to
+// the final result.
+func TestStreamMatchesBatch(t *testing.T) {
+	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 4000, 5)
+	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
+	path := writeCapture(t, blob)
 
 	batchAgg, _, err := Run(context.Background(), openAll(t, blob), Options{Workers: 1, Registry: reg, AnalyzerOpts: anOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := reportBytes(t, batchAgg, reg)
 
-	streamAgg, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
-		Options: Options{Registry: reg, AnalyzerOpts: anOpts},
-		Window:  time.Hour, // capture time: a generated week has many hours
-	}))
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		streamAgg, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
+			Options: Options{Workers: workers, Registry: reg, AnalyzerOpts: anOpts},
+			Window:  time.Hour, // capture time: a generated week has many hours
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reportBytes(t, streamAgg, reg); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: streamed report differs from batch report", workers)
+		}
+		if len(res.Windows) == 0 {
+			t.Fatalf("workers=%d: no windows emitted", workers)
+		}
+		if res.Offset != int64(len(blob)) {
+			t.Fatalf("workers=%d: final offset %d, want %d", workers, res.Offset, len(blob))
+		}
+		if res.Stats.Workers != workers || len(res.Stats.QueueDepths) != workers {
+			t.Fatalf("workers=%d: Stats reports %d workers, %d queues", workers, res.Stats.Workers, len(res.Stats.QueueDepths))
+		}
+		if res.Stats.PacketsDispatched != res.Stats.PacketsRead || res.Stats.PacketsRead == 0 {
+			t.Fatalf("workers=%d: read %d packets, dispatched %d", workers, res.Stats.PacketsRead, res.Stats.PacketsDispatched)
+		}
 	}
-	if got, want := reportBytes(t, streamAgg, reg), reportBytes(t, batchAgg, reg); !bytes.Equal(got, want) {
-		t.Fatal("streamed report differs from batch report")
-	}
-	if len(res.Windows) == 0 {
-		t.Fatal("no windows emitted")
-	}
-	if res.Offset != int64(len(blob)) {
-		t.Fatalf("final offset %d, want %d", res.Offset, len(blob))
+}
+
+// TestStreamWindowSeriesShardIndependent: a query is finalized by packets
+// of its own flow alone (its response, a retransmission of it, its TCP
+// stream), so the cut at a window boundary counts the same queries however
+// the flows are spread over shards. The whole series — index, queries and
+// per-provider counts of every window — must therefore be the same for 1,
+// 2 and 4 workers, on a trace with TCP flows and retransmissions.
+func TestStreamWindowSeriesShardIndependent(t *testing.T) {
+	blob, reg, origin := genWeek(t, cloudmodel.VantageNZ, 5000, 41)
+	path := writeCapture(t, withRetransmits(t, blob))
+
+	var want []Window
+	for _, workers := range []int{1, 2, 4} {
+		agg, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
+			Options: Options{Workers: workers, Registry: reg, AnalyzerOpts: []entrada.Option{entrada.WithZoneOrigin(origin)}},
+			Window:  20 * time.Minute,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agg.TCPResponses == 0 || res.Stats.UnmatchedResponses == 0 {
+			t.Fatalf("trace exercises neither TCP (%d responses) nor retransmissions (%d unmatched)", agg.TCPResponses, res.Stats.UnmatchedResponses)
+		}
+		if want == nil {
+			want = res.Windows
+			if len(want) < 100 {
+				t.Fatalf("want a long series, got %d windows", len(want))
+			}
+			continue
+		}
+		if len(res.Windows) != len(want) {
+			t.Fatalf("workers=%d: %d windows, workers=1 had %d", workers, len(res.Windows), len(want))
+		}
+		for i, w := range res.Windows {
+			if w.Index != want[i].Index || w.Queries != want[i].Queries || !reflect.DeepEqual(w.Providers, want[i].Providers) {
+				t.Fatalf("workers=%d: window %d = {%d %d %v}, workers=1 had {%d %d %v}", workers, i,
+					w.Index, w.Queries, w.Providers, want[i].Index, want[i].Queries, want[i].Providers)
+			}
+		}
 	}
 }
 
@@ -65,13 +156,10 @@ func TestStreamMatchesBatch(t *testing.T) {
 func TestStreamWindowSums(t *testing.T) {
 	blob, reg, origin := genWeek(t, cloudmodel.VantageNZ, 5000, 23)
 	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
-	path := filepath.Join(t.TempDir(), "cap.pcap")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeCapture(t, blob)
 
 	agg, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
-		Options: Options{Registry: reg, AnalyzerOpts: anOpts},
+		Options: Options{Workers: 2, Registry: reg, AnalyzerOpts: anOpts},
 		Window:  30 * time.Minute,
 	}))
 	if err != nil {
@@ -80,11 +168,18 @@ func TestStreamWindowSums(t *testing.T) {
 	if len(res.Windows) < 3 {
 		t.Fatalf("want several windows over a week, got %d", len(res.Windows))
 	}
+	checkWindowSums(t, agg, res.Windows)
+}
 
+// checkWindowSums requires strictly increasing indices, provider counts
+// that add up to each window's queries, and window sums that cover the
+// aggregates except for what Finish itself finalized after the last cut.
+func checkWindowSums(t *testing.T, agg *entrada.Aggregates, windows []Window) {
+	t.Helper()
 	var sum uint64
 	perProv := make(map[string]uint64)
 	lastIdx := int64(-1 << 62)
-	for _, w := range res.Windows {
+	for _, w := range windows {
 		sum += w.Queries
 		for p, n := range w.Providers {
 			perProv[p] += n
@@ -106,7 +201,6 @@ func TestStreamWindowSums(t *testing.T) {
 	if sum > agg.Total {
 		t.Fatalf("window sum %d exceeds total %d", sum, agg.Total)
 	}
-	finalized := agg.Total
 	for p, pa := range agg.ByProvider {
 		if perProv[p.String()] > pa.Queries {
 			t.Fatalf("provider %s window sum %d exceeds aggregate %d", p, perProv[p.String()], pa.Queries)
@@ -114,26 +208,79 @@ func TestStreamWindowSums(t *testing.T) {
 	}
 	// The final partial window is emitted at shutdown, so only queries
 	// finalized by Finish itself (pending flushes) may be uncovered.
-	var pendingFlushed uint64 = finalized - sum
-	if pendingFlushed > finalized/2 {
-		t.Fatalf("windows cover too little: %d of %d finalized outside windows", pendingFlushed, finalized)
+	if pendingFlushed := agg.Total - sum; pendingFlushed > agg.Total/2 {
+		t.Fatalf("windows cover too little: %d of %d finalized outside windows", pendingFlushed, agg.Total)
+	}
+}
+
+// TestStreamMarkerStorm: with millisecond windows nearly every packet
+// crosses a boundary, so markers outnumber batches; with one-packet batches
+// in one-deep queues every send blocks on a worker. Checkpoints are due at
+// every marker and mostly supersede one another. Nothing may deadlock, race
+// (CI runs this package under -race) or change the result.
+func TestStreamMarkerStorm(t *testing.T) {
+	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 1200, 77)
+	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
+	blob = withRetransmits(t, blob)
+	path := writeCapture(t, blob)
+
+	batchAgg, _, err := Run(context.Background(), openAll(t, blob), Options{Workers: 1, Registry: reg, AnalyzerOpts: anOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := telemetry.New()
+	ckDir := filepath.Join(t.TempDir(), "state")
+	agg, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
+		Options: Options{
+			Workers: 4, QueueDepth: 1, BatchSize: 1,
+			Registry: reg, AnalyzerOpts: anOpts, Telemetry: tm,
+		},
+		Window:          time.Millisecond,
+		CheckpointDir:   ckDir,
+		CheckpointEvery: 1,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reportBytes(t, agg, reg), reportBytes(t, batchAgg, reg); !bytes.Equal(got, want) {
+		t.Fatal("report under a marker storm differs from batch report")
+	}
+	if uint64(len(res.Windows)) != res.WindowsClosed || res.WindowsClosed < res.Stats.PacketsRead/2 {
+		t.Fatalf("%d windows for %d packets (WindowsClosed %d)", len(res.Windows), res.Stats.PacketsRead, res.WindowsClosed)
+	}
+	checkWindowSums(t, agg, res.Windows)
+
+	// The checkpoint on disk is the shutdown one, and every cut before it
+	// asked for one too: each was written or superseded.
+	ck, ok, err := loadCheckpoint(ckDir)
+	if err != nil || !ok {
+		t.Fatalf("loading the shutdown checkpoint: ok=%v err=%v", ok, err)
+	}
+	if ck.Offset != int64(len(blob)) || len(ck.Shards) != 4 {
+		t.Fatalf("shutdown checkpoint at offset %d with %d shards, want %d and 4", ck.Offset, len(ck.Shards), len(blob))
+	}
+	written := tm.Histogram(MetricCheckpointSeconds).Count()
+	superseded := tm.Counter(MetricCheckpointsSuperseded).Value()
+	if written == 0 || written+superseded != ck.WindowsClosed+1 {
+		t.Fatalf("%d checkpoints written + %d superseded, want %d boundary ones + 1", written, superseded, ck.WindowsClosed)
+	}
+	if got := tm.Gauge(MetricCheckpointBytes).Value(); got <= 0 {
+		t.Fatalf("%s = %d", MetricCheckpointBytes, got)
 	}
 }
 
 // TestStreamKillResumeExact is the tentpole acceptance criterion at unit
-// level: cancel a checkpointing stream partway (the in-process stand-in
-// for kill -9 — the checkpoint on disk is all a restart would have),
-// resume from the checkpoint directory, and require the resumed run's
-// final report to be byte-identical to an uninterrupted batch run.
+// level: cancel a two-shard checkpointing stream partway (the in-process
+// stand-in for kill -9 — the checkpoint on disk is all a restart would
+// have), resume from the checkpoint directory while asking for a different
+// worker count, and require the resumed run to keep the checkpoint's two
+// shards and its final report to be byte-identical to an uninterrupted
+// batch run.
 func TestStreamKillResumeExact(t *testing.T) {
 	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 4000, 99)
 	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cap.pcap")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ckDir := filepath.Join(dir, "state")
+	path := writeCapture(t, blob)
+	ckDir := filepath.Join(t.TempDir(), "state")
 
 	batchAgg, _, err := Run(context.Background(), openAll(t, blob), Options{Workers: 1, Registry: reg, AnalyzerOpts: anOpts})
 	if err != nil {
@@ -141,27 +288,28 @@ func TestStreamKillResumeExact(t *testing.T) {
 	}
 	want := reportBytes(t, batchAgg, reg)
 
-	// Phase 1: cancel hard after the third checkpointed window. To
-	// simulate SIGKILL — which would leave only the last BOUNDARY
-	// checkpoint, never a graceful shutdown one — snapshot the on-disk
-	// checkpoint at the moment of the "kill" and restore it afterwards,
+	// Phase 1: cancel hard once a boundary checkpoint past the third window
+	// is on disk. To simulate SIGKILL — which would leave only that
+	// BOUNDARY checkpoint, never a graceful shutdown one — snapshot the
+	// file at the moment of the "kill" and restore it afterwards,
 	// discarding anything the cancelled run wrote while winding down.
+	// Checkpoints are written in the background, so which boundary the
+	// snapshot is from is up to the disk; that it is one is what matters.
 	ctx, cancel := context.WithCancel(context.Background())
 	ckPath := filepath.Join(ckDir, "entrada.ckpt")
 	var killCk []byte
 	windows := 0
 	_, res1, err := RunStream(ctx, path, streamOpts(StreamOptions{
-		Options:         Options{Registry: reg, AnalyzerOpts: anOpts},
+		Options:         Options{Workers: 2, Registry: reg, AnalyzerOpts: anOpts},
 		Window:          30 * time.Minute,
 		CheckpointDir:   ckDir,
 		CheckpointEvery: 1,
 		OnWindow: func(Window) {
 			windows++
-			if windows == 3 {
-				b, rdErr := os.ReadFile(ckPath)
-				if rdErr != nil {
-					t.Errorf("no boundary checkpoint at window 3: %v", rdErr)
-				}
+			if windows < 3 || killCk != nil {
+				return
+			}
+			if b, rdErr := os.ReadFile(ckPath); rdErr == nil {
 				killCk = b
 				cancel()
 			}
@@ -170,20 +318,24 @@ func TestStreamKillResumeExact(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("phase 1: err = %v, want context.Canceled", err)
 	}
-	if res1.WindowsClosed < 3 {
-		t.Fatalf("phase 1 closed %d windows, want >= 3", res1.WindowsClosed)
-	}
 	if len(killCk) == 0 {
 		t.Fatal("no checkpoint captured at kill point")
+	}
+	killed, err := decodeCheckpoint(killCk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(killed.Shards) != 2 || killed.Offset <= 0 || killed.Offset >= int64(len(blob)) || killed.WindowsClosed == 0 {
+		t.Fatalf("kill-point checkpoint: %d shards, offset %d of %d, %d windows closed", len(killed.Shards), killed.Offset, len(blob), killed.WindowsClosed)
 	}
 	if err := os.WriteFile(ckPath, killCk, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Phase 2: resume. Must pick up at the recorded offset and finish
-	// with the exact batch report.
+	// Phase 2: resume. Must pick up at the recorded offset, under the
+	// checkpoint's sharding, and finish with the exact batch report.
 	agg2, res2, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
-		Options:       Options{Registry: reg, AnalyzerOpts: anOpts},
+		Options:       Options{Workers: 4, Registry: reg, AnalyzerOpts: anOpts},
 		Window:        30 * time.Minute,
 		CheckpointDir: ckDir,
 		Resume:        true,
@@ -194,11 +346,14 @@ func TestStreamKillResumeExact(t *testing.T) {
 	if !res2.Resumed {
 		t.Fatal("phase 2 did not resume from checkpoint")
 	}
+	if res2.Stats.Workers != 2 {
+		t.Fatalf("phase 2 ran %d workers, want the checkpoint's 2", res2.Stats.Workers)
+	}
 	if got := reportBytes(t, agg2, reg); !bytes.Equal(got, want) {
 		t.Fatal("resumed report differs from uninterrupted batch report")
 	}
-	if res2.WindowsClosed <= res1.WindowsClosed {
-		t.Fatalf("resumed windows %d did not continue from %d", res2.WindowsClosed, res1.WindowsClosed)
+	if res2.WindowsClosed <= killed.WindowsClosed || res2.WindowsClosed < res1.WindowsClosed {
+		t.Fatalf("resumed windows %d did not continue from %d (phase 1 reached %d)", res2.WindowsClosed, killed.WindowsClosed, res1.WindowsClosed)
 	}
 }
 
@@ -238,8 +393,8 @@ func TestStreamWindowTelemetry(t *testing.T) {
 	}
 	tm := telemetry.New()
 	_, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
-		Options:   Options{Registry: reg, AnalyzerOpts: []entrada.Option{entrada.WithZoneOrigin(origin)}, Telemetry: tm},
-		Window:    time.Hour,
+		Options: Options{Registry: reg, AnalyzerOpts: []entrada.Option{entrada.WithZoneOrigin(origin)}, Telemetry: tm},
+		Window:  time.Hour,
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +413,14 @@ func TestStreamWindowTelemetry(t *testing.T) {
 	if err := tm.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{MetricWindowsClosed, MetricWindowQPS, MetricWindowTopShare, MetricWindowProviderShare + "{provider="} {
+	// Follow mode publishes what the engine publishes for a batch run too.
+	if got := tm.Counter(MetricPackets).Value(); got != res.Stats.PacketsRead {
+		t.Fatalf("%s = %d, want %d", MetricPackets, got, res.Stats.PacketsRead)
+	}
+	for _, want := range []string{
+		MetricWindowsClosed, MetricWindowQPS, MetricWindowTopShare, MetricWindowProviderShare + "{provider=",
+		shardLabel(metricShardPackets, 1), shardLabel(MetricQueueDepth, 1),
+	} {
 		if !bytes.Contains(sb.Bytes(), []byte(want)) {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
 		}
