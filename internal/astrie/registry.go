@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // Provider identifies one of the paper's five cloud/content providers, or
@@ -77,11 +77,24 @@ const LongTailASNBase uint32 = 100000
 
 // Registry holds the AS database: the provider ASes plus a configurable
 // long tail, each with deterministic synthetic prefix allocations, and the
-// LPM trie for address classification.
+// LPM table for address classification.
+//
+// Every AS is known by its ordinal, its place in registration order: the
+// Table-1 ASes first, in CloudProviders order, then the long tail. An
+// ordinal's ASN, provider, prefixes and name are all arithmetic on the
+// ordinal, with the Table-1 ASes looked up in a 20-row table, so the
+// registry holds no object per AS: the trie maps a prefix to an ordinal.
 type Registry struct {
-	trie Trie
-	info map[uint32]*ASInfo
-	asns []uint32 // sorted, for deterministic iteration
+	trie     Trie
+	table1   []providerAS // ordinals 0 … len-1
+	longTail int          // ordinals len(table1) … len(table1)+longTail-1
+	asns     []uint32     // ascending, for deterministic iteration
+}
+
+// providerAS is one Table-1 row.
+type providerAS struct {
+	asn      uint32
+	provider Provider
 }
 
 // NewRegistry builds a registry with the paper's 20 provider ASes plus
@@ -89,20 +102,40 @@ type Registry struct {
 // (in registration order) gets the IPv4 /16 and IPv6 /32 derived from its
 // ordinal, so traces generated on one run classify identically on another.
 func NewRegistry(longTail int) *Registry {
-	r := &Registry{info: make(map[uint32]*ASInfo, longTail+20)}
-	ordinal := 0
+	r := &Registry{longTail: max(longTail, 0)}
+	rows := 0
+	for _, p := range CloudProviders {
+		rows += len(ProviderASNs[p])
+	}
+	r.table1 = make([]providerAS, 0, rows)
 	for _, p := range CloudProviders {
 		for _, asn := range ProviderASNs[p] {
-			r.add(asn, fmt.Sprintf("%s-AS%d", p, asn), p, ordinal)
-			ordinal++
+			r.table1 = append(r.table1, providerAS{asn: asn, provider: p})
 		}
 	}
-	for i := 0; i < longTail; i++ {
-		asn := LongTailASNBase + uint32(i)
-		r.add(asn, fmt.Sprintf("AS%d", asn), ProviderOther, ordinal)
-		ordinal++
+	n := r.NumASes()
+	if n > MaxASes {
+		panic("astrie: too many ASes for the synthetic allocation scheme")
 	}
-	sort.Slice(r.asns, func(i, j int) bool { return r.asns[i] < r.asns[j] })
+	if n > 0 {
+		// The IPv4 /16s fill the 16-bit root. The IPv6 /32s under
+		// 2a00::/13 need a root, one node under 2a, one per distinct
+		// second byte and one per distinct second and third.
+		v6Nodes := 2 + (n+65535)/65536 + (n+255)/256
+		r.trie.reserve(1<<rootBits[0] + v6Nodes*nodeSlots)
+	}
+	r.asns = make([]uint32, n)
+	for o := range n {
+		v4, v6 := prefixesOf(o)
+		if err := r.trie.Insert(v4, uint32(o)); err != nil {
+			panic(err)
+		}
+		if err := r.trie.Insert(v6, uint32(o)); err != nil {
+			panic(err)
+		}
+		r.asns[o] = r.asnOf(o)
+	}
+	slices.Sort(r.asns)
 	return r
 }
 
@@ -123,67 +156,117 @@ var allowedFirstOctets = func() []byte {
 // MaxASes is the capacity of the synthetic allocation scheme (one /16 per AS).
 var MaxASes = len(allowedFirstOctets) * 256
 
-// add allocates the ordinal-th prefix pair to asn and registers it.
-func (r *Registry) add(asn uint32, name string, p Provider, ordinal int) {
-	// IPv4: the ordinal-th /16 from the allowed unicast space.
-	if ordinal >= MaxASes {
-		panic("astrie: too many ASes for the synthetic allocation scheme")
-	}
+// prefixesOf returns the prefix pair allocated to an ordinal: the
+// ordinal-th IPv4 /16 from the allowed unicast space, and the ordinal-th
+// IPv6 /32 under 2a00::/13.
+func prefixesOf(ordinal int) (v4, v6 netip.Prefix) {
 	first := allowedFirstOctets[ordinal/256]
 	second := byte(ordinal % 256)
-	v4 := netip.PrefixFrom(netip.AddrFrom4([4]byte{first, second, 0, 0}), 16)
+	v4 = netip.PrefixFrom(netip.AddrFrom4([4]byte{first, second, 0, 0}), 16)
 
-	// IPv6: the ordinal-th /32 under 2a00::/13.
 	var b16 [16]byte
 	b16[0], b16[1] = 0x2a, byte(ordinal/65536)
 	binary.BigEndian.PutUint16(b16[2:], uint16(ordinal%65536))
-	v6 := netip.PrefixFrom(netip.AddrFrom16(b16), 32)
-
-	info := &ASInfo{ASN: asn, Name: name, Provider: p, V4: v4, V6: v6}
-	r.info[asn] = info
-	r.asns = append(r.asns, asn)
-	if err := r.trie.Insert(v4, asn); err != nil {
-		panic(err)
-	}
-	if err := r.trie.Insert(v6, asn); err != nil {
-		panic(err)
-	}
+	v6 = netip.PrefixFrom(netip.AddrFrom16(b16), 32)
+	return v4, v6
 }
 
-// LookupAddr maps an address to its AS.
-func (r *Registry) LookupAddr(a netip.Addr) (uint32, bool) {
-	return r.trie.Lookup(a)
-}
-
-// ProviderOf classifies an address into a provider (ProviderOther when the
-// address matches no registered prefix or a long-tail AS).
-func (r *Registry) ProviderOf(a netip.Addr) Provider {
-	asn, ok := r.trie.Lookup(a)
-	if !ok {
-		return ProviderOther
+// asnOf returns the ASN registered at an ordinal.
+func (r *Registry) asnOf(ordinal int) uint32 {
+	if ordinal < len(r.table1) {
+		return r.table1[ordinal].asn
 	}
-	return r.ProviderOfASN(asn)
+	return LongTailASNBase + uint32(ordinal-len(r.table1))
 }
 
-// ProviderOfASN classifies an ASN into a provider.
-func (r *Registry) ProviderOfASN(asn uint32) Provider {
-	if info, ok := r.info[asn]; ok {
-		return info.Provider
+// providerAt returns the provider of the AS at an ordinal.
+func (r *Registry) providerAt(ordinal int) Provider {
+	if ordinal < len(r.table1) {
+		return r.table1[ordinal].provider
 	}
 	return ProviderOther
 }
 
-// Info returns the registry entry for asn.
+// ordinalOf returns the ordinal asn is registered at.
+func (r *Registry) ordinalOf(asn uint32) (int, bool) {
+	if asn >= LongTailASNBase && asn-LongTailASNBase < uint32(r.longTail) {
+		return len(r.table1) + int(asn-LongTailASNBase), true
+	}
+	for o, row := range r.table1 {
+		if row.asn == asn {
+			return o, true
+		}
+	}
+	return 0, false
+}
+
+// Class is what the registry knows about one address: its AS, that AS's
+// provider, and whether the address is in a public-DNS egress range.
+type Class struct {
+	ASN uint32
+	// Known reports that the address lies in a registered prefix; when it
+	// does not, ASN is 0, Provider is ProviderOther and Public is false.
+	Known    bool
+	Provider Provider
+	Public   bool
+}
+
+// Classify answers LookupAddr, ProviderOf and IsPublicDNSAddr in one
+// table walk.
+func (r *Registry) Classify(a netip.Addr) Class {
+	a = a.Unmap()
+	o, ok := r.trie.Lookup(a)
+	if !ok {
+		return Class{}
+	}
+	// The public flag ResolverAddr sets.
+	var public bool
+	if a.Is4() {
+		public = a.As4()[2]&0x80 != 0
+	} else {
+		public = a.As16()[4] == publicDNSV6Marker
+	}
+	return Class{ASN: r.asnOf(int(o)), Known: true, Provider: r.providerAt(int(o)), Public: public}
+}
+
+// LookupAddr maps an address to its AS.
+func (r *Registry) LookupAddr(a netip.Addr) (uint32, bool) {
+	c := r.Classify(a)
+	return c.ASN, c.Known
+}
+
+// ProviderOf classifies an address into a provider (ProviderOther when the
+// address matches no registered prefix or a long-tail AS).
+func (r *Registry) ProviderOf(a netip.Addr) Provider { return r.Classify(a).Provider }
+
+// ProviderOfASN classifies an ASN into a provider.
+func (r *Registry) ProviderOfASN(asn uint32) Provider {
+	if o, ok := r.ordinalOf(asn); ok {
+		return r.providerAt(o)
+	}
+	return ProviderOther
+}
+
+// Info returns the registry entry for asn, derived afresh on every call.
 func (r *Registry) Info(asn uint32) (*ASInfo, bool) {
-	info, ok := r.info[asn]
-	return info, ok
+	o, ok := r.ordinalOf(asn)
+	if !ok {
+		return nil, false
+	}
+	p := r.providerAt(o)
+	name := fmt.Sprintf("AS%d", asn)
+	if o < len(r.table1) {
+		name = fmt.Sprintf("%s-AS%d", p, asn)
+	}
+	v4, v6 := prefixesOf(o)
+	return &ASInfo{ASN: asn, Name: name, Provider: p, V4: v4, V6: v6}, true
 }
 
 // ASNs returns all registered ASNs in ascending order.
 func (r *Registry) ASNs() []uint32 { return r.asns }
 
 // NumASes returns the number of registered ASes.
-func (r *Registry) NumASes() int { return len(r.info) }
+func (r *Registry) NumASes() int { return len(r.table1) + r.longTail }
 
 // publicDNSV6Marker is the byte-4 marker of public-DNS IPv6 resolvers.
 const publicDNSV6Marker = 0xDD
@@ -197,12 +280,13 @@ const publicDNSV6Marker = 0xDD
 // to 32768 distinct resolvers per AS per public flag. IPv6 layout within
 // the /32: byte 4 is the public marker, trailing 4 bytes are idx.
 func (r *Registry) ResolverAddr(asn uint32, v6, public bool, idx uint32) (netip.Addr, error) {
-	info, ok := r.info[asn]
+	o, ok := r.ordinalOf(asn)
 	if !ok {
 		return netip.Addr{}, fmt.Errorf("astrie: unknown ASN %d", asn)
 	}
+	v4p, v6p := prefixesOf(o)
 	if v6 {
-		b16 := info.V6.Addr().As16()
+		b16 := v6p.Addr().As16()
 		if public {
 			b16[4] = publicDNSV6Marker
 		}
@@ -217,7 +301,7 @@ func (r *Registry) ResolverAddr(asn uint32, v6, public bool, idx uint32) (netip.
 		host |= 1 << 15
 	}
 	// Avoid .0 and .255 last octets purely for realism.
-	b4 := info.V4.Addr().As4()
+	b4 := v4p.Addr().As4()
 	b4[2] = byte(host >> 8)
 	b4[3] = byte(host)
 	return netip.AddrFrom4(b4), nil
@@ -227,13 +311,4 @@ func (r *Registry) ResolverAddr(asn uint32, v6, public bool, idx uint32) (netip.
 // generated with the public flag; combined with ProviderOf it reproduces
 // the paper's "queries from Google's advertised Public DNS list"
 // classification (Table 4).
-func (r *Registry) IsPublicDNSAddr(a netip.Addr) bool {
-	a = a.Unmap()
-	if _, ok := r.trie.Lookup(a); !ok {
-		return false
-	}
-	if a.Is4() {
-		return a.As4()[2]&0x80 != 0
-	}
-	return a.As16()[4] == publicDNSV6Marker
-}
+func (r *Registry) IsPublicDNSAddr(a netip.Addr) bool { return r.Classify(a).Public }

@@ -1,7 +1,12 @@
 package astrie
 
 import (
+	"fmt"
 	"net/netip"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -180,5 +185,178 @@ func TestProviderString(t *testing.T) {
 	}
 	if !ProviderAmazon.IsCloud() || ProviderOther.IsCloud() {
 		t.Error("IsCloud wrong")
+	}
+}
+
+// legacyInfo is the registry entry as the allocation scheme defines it:
+// the ordinal-th /16 of the allowed unicast space and the ordinal-th /32
+// under 2a00::/13, named after the provider for Table-1 ASes.
+func legacyInfo(ordinal int, asn uint32, p Provider) ASInfo {
+	first := allowedFirstOctets[ordinal/256]
+	v4 := netip.PrefixFrom(netip.AddrFrom4([4]byte{first, byte(ordinal % 256), 0, 0}), 16)
+	var b16 [16]byte
+	b16[0], b16[1] = 0x2a, byte(ordinal/65536)
+	b16[2], b16[3] = byte(ordinal>>8), byte(ordinal)
+	v6 := netip.PrefixFrom(netip.AddrFrom16(b16), 32)
+	name := fmt.Sprintf("AS%d", asn)
+	if p != ProviderOther {
+		name = fmt.Sprintf("%s-AS%d", p, asn)
+	}
+	return ASInfo{ASN: asn, Name: name, Provider: p, V4: v4, V6: v6}
+}
+
+// TestRegistryRoundTripEveryOrdinal walks every AS of the largest registry:
+// each synthetic resolver address must classify back to its AS, provider
+// and public flag, through every lookup entry point, and Info must agree
+// with the allocation scheme.
+func TestRegistryRoundTripEveryOrdinal(t *testing.T) {
+	reg := NewRegistry(MaxASes - 20)
+	if reg.NumASes() != MaxASes {
+		t.Fatalf("NumASes = %d, want %d", reg.NumASes(), MaxASes)
+	}
+	var want []uint32
+	ordinal := 0
+	check := func(asn uint32, p Provider) {
+		t.Helper()
+		info, ok := reg.Info(asn)
+		if !ok || *info != legacyInfo(ordinal, asn, p) {
+			t.Fatalf("Info(%d) = %+v, %v; want %+v", asn, info, ok, legacyInfo(ordinal, asn, p))
+		}
+		if got := reg.ProviderOfASN(asn); got != p {
+			t.Fatalf("ProviderOfASN(%d) = %s, want %s", asn, got, p)
+		}
+		for _, v6 := range []bool{false, true} {
+			for _, public := range []bool{false, true} {
+				idx := uint32(ordinal) % (1 << 15)
+				a, err := reg.ResolverAddr(asn, v6, public, idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pfx := info.V4
+				if v6 {
+					pfx = info.V6
+				}
+				if !pfx.Contains(a) {
+					t.Fatalf("ResolverAddr(%d, v6=%v) = %s outside %s", asn, v6, a, pfx)
+				}
+				probes := []netip.Addr{a}
+				if !v6 {
+					probes = append(probes, netip.AddrFrom16(a.As16()))
+				}
+				for _, a := range probes {
+					if got, ok := reg.LookupAddr(a); !ok || got != asn {
+						t.Fatalf("LookupAddr(%s) = %d,%v; want %d", a, got, ok, asn)
+					}
+					if got := reg.ProviderOf(a); got != p {
+						t.Fatalf("ProviderOf(%s) = %s, want %s", a, got, p)
+					}
+					if got := reg.IsPublicDNSAddr(a); got != public {
+						t.Fatalf("IsPublicDNSAddr(%s) = %v, want %v", a, got, public)
+					}
+					c := reg.Classify(a)
+					if c != (Class{ASN: asn, Known: true, Provider: p, Public: public}) {
+						t.Fatalf("Classify(%s) = %+v", a, c)
+					}
+				}
+			}
+		}
+		want = append(want, asn)
+		ordinal++
+	}
+	for _, p := range CloudProviders {
+		for _, asn := range ProviderASNs[p] {
+			check(asn, p)
+		}
+	}
+	for i := 0; i < MaxASes-20; i++ {
+		check(LongTailASNBase+uint32(i), ProviderOther)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if !slices.Equal(reg.ASNs(), want) {
+		t.Fatal("ASNs() is not every registered ASN in ascending order")
+	}
+	for _, a := range []string{"10.0.0.1", "0.0.0.0", "224.0.0.1", "2a00:d800::1", "2001:db8::1", "::"} {
+		addr := netip.MustParseAddr(a)
+		if c := reg.Classify(addr); c != (Class{}) {
+			t.Errorf("Classify(%s) = %+v, want unknown", a, c)
+		}
+	}
+	if _, ok := reg.Info(LongTailASNBase + uint32(MaxASes)); ok {
+		t.Error("Info past the long tail succeeded")
+	}
+}
+
+// TestNewRegistryCompact pins the registry's footprint: a fixed number of
+// allocations however many ASes it holds, and a small live heap. A normal
+// build makes 6; a race-detector build makes a few more temporaries.
+func TestNewRegistryCompact(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() { NewRegistry(MaxASes - 20) })
+	if allocs > 16 {
+		t.Errorf("NewRegistry(MaxASes-20) made %.0f allocations, want ≤ 16", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	reg := NewRegistry(MaxASes - 20)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if live > 2<<20 {
+		t.Errorf("NewRegistry(MaxASes-20) holds %d bytes live, want < 2 MiB", live)
+	}
+	t.Logf("%.0f allocations, %d bytes live", allocs, live)
+	runtime.KeepAlive(reg)
+}
+
+// TestRegistryConcurrentReaders shares one registry between goroutines the
+// way the analyzer's shards do; run under -race it checks that lookups
+// only read.
+func TestRegistryConcurrentReaders(t *testing.T) {
+	reg := NewRegistry(1000)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, asn := range reg.ASNs() {
+				a, err := reg.ResolverAddr(asn, (i+g)%2 == 0, false, uint32(g))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if c := reg.Classify(a); c.ASN != asn || c.Provider != reg.ProviderOfASN(asn) {
+					t.Errorf("Classify(%s) = %+v, want AS%d", a, c, asn)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func BenchmarkNewRegistry(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewRegistry(MaxASes - 20)
+	}
+}
+
+func BenchmarkRegistryClassify(b *testing.B) {
+	reg := NewRegistry(MaxASes - 20)
+	asns := reg.ASNs()
+	addrs := make([]netip.Addr, 4096)
+	for i := range addrs {
+		a, err := reg.ResolverAddr(asns[(i*7919)%len(asns)], i%4 == 0, i%8 == 0, uint32(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		addrs[i] = a
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := reg.Classify(addrs[i%len(addrs)]); !c.Known {
+			b.Fatal("miss")
+		}
 	}
 }

@@ -198,3 +198,111 @@ func BenchmarkTrieLookup(b *testing.B) {
 		}
 	}
 }
+
+// refLPM is the reference the trie is held to: a list of prefixes,
+// IPv4-mapped ones rewritten as IPv4, searched linearly.
+type refLPM map[netip.Prefix]uint32
+
+func normalizePrefix(p netip.Prefix) netip.Prefix {
+	p = p.Masked()
+	if p.Addr().Is4In6() {
+		return netip.PrefixFrom(p.Addr().Unmap(), p.Bits()-96)
+	}
+	return p
+}
+
+func (ref refLPM) lookup(a netip.Addr) (uint32, bool) {
+	a = a.Unmap()
+	best, v := -1, uint32(0)
+	for p, pv := range ref {
+		if p.Bits() > best && p.Contains(a) {
+			best, v = p.Bits(), pv
+		}
+	}
+	return v, best >= 0
+}
+
+// fuzzAddr builds an address of one of three shapes from four fuzz bytes.
+// IPv6 addresses vary only in their first two and last two bytes, so
+// random prefixes overlap at every depth.
+func fuzzAddr(shape byte, b []byte) netip.Addr {
+	switch shape % 3 {
+	case 0:
+		return netip.AddrFrom4([4]byte{b[0], b[1], b[2], b[3]})
+	case 1:
+		var a [16]byte
+		a[0], a[1], a[14], a[15] = b[0], b[1], b[2], b[3]
+		return netip.AddrFrom16(a)
+	}
+	return netip.AddrFrom16(netip.AddrFrom4([4]byte{b[0], b[1], b[2], b[3]}).As16())
+}
+
+// FuzzTrieLPM runs the trie against refLPM. Each 6-byte record of the
+// input is an insert — shape, prefix length, four address bytes — or,
+// when the shape byte has bit 7 set, a probe address. Every probe, every
+// inserted prefix's first address and its neighbours on both sides must
+// resolve as the reference does, and Len must count distinct prefixes.
+// Records past the 64th are ignored: a deep IPv6 prefix costs the trie
+// up to 15 nodes, and the reference is a linear scan.
+func FuzzTrieLPM(f *testing.F) {
+	f.Add([]byte{
+		0, 0, 0, 0, 0, 0, // 0.0.0.0/0
+		1, 0, 0, 0, 0, 0, // ::/0
+		0, 8, 10, 0, 0, 0, // 10.0.0.0/8
+		0, 24, 10, 1, 2, 0, // 10.1.2.0/24
+		0, 32, 10, 1, 2, 3, // 10.1.2.3/32
+		0, 24, 10, 1, 2, 0, // 10.1.2.0/24 again: overwrite
+		0x80, 0, 10, 1, 2, 4, // probe 10.1.2.4
+	})
+	f.Add([]byte{
+		1, 16, 0x2a, 0, 0, 0, // 2a00::/16
+		1, 128, 0x2a, 0, 0, 1, // 2a00::1/128
+		1, 127, 0x2a, 0, 0, 1, // 2a00::/127
+		2, 104, 192, 0, 2, 0, // ::ffff:192.0.2.0/104 → 192.0.2.0/8
+		2, 128, 192, 0, 2, 1, // ::ffff:192.0.2.1/128 → host route
+		2, 40, 1, 2, 3, 4, // ::ffff:1.2.3.4/40 → a plain IPv6 prefix
+		0x82, 0, 192, 0, 2, 1, // probe ::ffff:192.0.2.1
+		0x81, 0, 0x2a, 0, 0, 2, // probe 2a00::2
+	})
+	f.Add([]byte{
+		0, 17, 1, 128, 0, 0, 0, 15, 1, 0, 0, 0, 0, 16, 1, 1, 0, 0,
+		0, 9, 1, 0, 0, 0, 0, 33, 5, 5, 5, 5, 1, 5, 0xff, 0, 0, 0,
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tr Trie
+		ref := refLPM{}
+		var probes []netip.Addr
+		for i := 0; i+6 <= len(data) && i < 64*6; i += 6 {
+			shape, bits, ab := data[i], data[i+1], data[i+2:i+6]
+			a := fuzzAddr(shape&0x7f, ab)
+			if shape&0x80 != 0 {
+				probes = append(probes, a)
+				continue
+			}
+			p := netip.PrefixFrom(a, int(bits)%(a.BitLen()+1))
+			v := uint32(i)
+			if err := tr.Insert(p, v); err != nil {
+				t.Fatalf("Insert(%s): %v", p, err)
+			}
+			np := normalizePrefix(p)
+			ref[np] = v
+			first := np.Addr()
+			probes = append(probes, a, first, first.Prev(), first.Next())
+		}
+		if tr.Len() != len(ref) {
+			t.Fatalf("Len = %d, want %d distinct prefixes", tr.Len(), len(ref))
+		}
+		for _, a := range probes {
+			if !a.IsValid() {
+				continue
+			}
+			for _, a := range []netip.Addr{a, netip.AddrFrom16(a.As16())} {
+				got, ok := tr.Lookup(a)
+				want, wok := ref.lookup(a)
+				if ok != wok || got != want {
+					t.Fatalf("Lookup(%s) = %d,%v; reference %d,%v", a, got, ok, want, wok)
+				}
+			}
+		}
+	})
+}

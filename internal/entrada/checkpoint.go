@@ -293,19 +293,20 @@ func (a *Analyzer) MarshalState() ([]byte, error) {
 	sort.Slice(st.Agg.RCodes, func(i, j int) bool { return st.Agg.RCodes[i].K < st.Agg.RCodes[j].K })
 
 	for k, pq := range a.pending {
+		src := &a.sources[pq.src]
 		st.Pending = append(st.Pending, pendingState{
 			Client:    k.client.String(),
 			Server:    k.server.String(),
 			ID:        k.id,
 			TCP:       k.tcp,
-			Provider:  uint8(pq.provider),
+			Provider:  uint8(src.class.Provider),
 			QType:     uint16(pq.qtype),
 			V6:        pq.v6,
 			QTCP:      pq.tcp,
 			EDNS:      pq.edns,
-			Public:    pq.public,
+			Public:    src.class.Public,
 			Minimized: pq.minimized,
-			Addr:      pq.client.String(),
+			Addr:      src.addr.String(),
 		})
 	}
 	sort.Slice(st.Pending, func(i, j int) bool {
@@ -493,15 +494,15 @@ func RestoreAnalyzer(reg *astrie.Registry, data []byte) (*Analyzer, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Provider and Public are classified afresh from the registry,
+		// which must match the checkpointing run's.
 		a.pending[pendingKey{client: client, server: server, id: ps.ID, tcp: ps.TCP}] = pendingQuery{
-			provider:  astrie.Provider(ps.Provider),
+			src:       a.sourceOf(addr),
 			qtype:     dnswire.Type(ps.QType),
 			v6:        ps.V6,
 			tcp:       ps.QTCP,
 			edns:      ps.EDNS,
-			public:    ps.Public,
 			minimized: ps.Minimized,
-			client:    addr,
 		}
 	}
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"net/netip"
 	"testing"
 
 	"dnscentral/internal/cloudmodel"
+	"dnscentral/internal/layers"
 	"dnscentral/internal/pcapio"
 	"dnscentral/internal/workload"
 )
@@ -92,6 +94,73 @@ func TestCheckpointResumeExact(t *testing.T) {
 		got := reportJSON(t, restored.Finish(), reg)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("cut=%d: resumed report differs from uninterrupted run", cut)
+		}
+	}
+}
+
+// TestCheckpointSplitAtFirstSightOfSource cuts the capture right after
+// the first query of a source whose response comes later: the query
+// crosses the checkpoint as a pending join, and the source table — which
+// is never checkpointed — must be rebuilt so that the source still lands
+// in the resolver and AS sets exactly once. The report must match the
+// uninterrupted run byte for byte.
+func TestCheckpointSplitAtFirstSightOfSource(t *testing.T) {
+	blob, g := checkpointCapture(t)
+	reg := g.Registry()
+	origin := WithZoneOrigin(g.Zone().Origin)
+	pkts := readAll(t, blob)
+
+	oneShot := NewAnalyzer(reg, origin)
+	for _, p := range pkts {
+		oneShot.HandlePacket(p.Timestamp, p.Data)
+	}
+	want := reportJSON(t, oneShot.Finish(), reg)
+
+	// Flows of every packet; then the first-sight queries whose response
+	// follows, spread over the capture.
+	parser := layers.NewParser()
+	flows := make([]layers.Flow, len(pkts))
+	for i, p := range pkts {
+		if fl, err := parser.Decode(p.Data); err == nil {
+			flows[i] = fl
+		}
+	}
+	seen := make(map[netip.Addr]bool)
+	var cuts []int
+	for i, fl := range flows {
+		if fl.Proto != layers.IPProtoUDP || fl.DstPort != 53 || seen[fl.Src] {
+			continue
+		}
+		seen[fl.Src] = true
+		for _, later := range flows[i+1:] {
+			if later.SrcPort == 53 && later.Dst == fl.Src && later.DstPort == fl.SrcPort {
+				cuts = append(cuts, i+1)
+				break
+			}
+		}
+	}
+	if len(cuts) < 10 {
+		t.Fatalf("only %d first-sight queries with a later response", len(cuts))
+	}
+	for k := 0; k < 10; k++ {
+		cut := cuts[k*(len(cuts)-1)/9]
+		first := NewAnalyzer(reg, origin)
+		for _, p := range pkts[:cut] {
+			first.HandlePacket(p.Timestamp, p.Data)
+		}
+		state, err := first.MarshalState()
+		if err != nil {
+			t.Fatalf("cut=%d: marshal: %v", cut, err)
+		}
+		restored, err := RestoreAnalyzer(reg, state)
+		if err != nil {
+			t.Fatalf("cut=%d: restore: %v", cut, err)
+		}
+		for _, p := range pkts[cut:] {
+			restored.HandlePacket(p.Timestamp, p.Data)
+		}
+		if got := reportJSON(t, restored.Finish(), reg); !bytes.Equal(got, want) {
+			t.Fatalf("cut=%d (after the first query from %s): resumed report differs from uninterrupted run", cut, flows[cut-1].Src)
 		}
 	}
 }

@@ -150,14 +150,21 @@ func (ag *Aggregates) Provider(p astrie.Provider) *ProviderAgg {
 // Stored by value in the pending map so parking a query costs no heap
 // allocation on the hot path.
 type pendingQuery struct {
-	provider  astrie.Provider
+	src       int32 // the query source's row in the analyzer's source table
 	qtype     dnswire.Type
 	v6        bool
 	tcp       bool
-	edns      int // advertised size, 0 = none
-	public    bool
 	minimized bool
-	client    netip.Addr
+	edns      int // advertised size, 0 = none
+}
+
+// source is one row of the analyzer's source table: a query source
+// address, what the registry says about it, and whether finalize has
+// already put it in the resolver and AS sets.
+type source struct {
+	addr    netip.Addr
+	class   astrie.Class
+	counted bool
 }
 
 // msgMeta is everything the analyzer consumes from one DNS message. Both
@@ -492,6 +499,14 @@ type Analyzer struct {
 	conns   map[connKey]*tcpConn
 	curTS   time.Time
 
+	// The source table classifies each source address once, on first
+	// sight, instead of walking the registry per packet. It is a cache of
+	// registry answers plus the counted bit, so it is never checkpointed: a
+	// restored analyzer refills it, and finalize's set inserts are
+	// idempotent.
+	srcIndex map[netip.Addr]int32
+	sources  []source
+
 	// MarshalState's sorted resolver lists, global and per provider.
 	allResolvers addrList
 	resolvers    map[astrie.Provider]*addrList
@@ -561,9 +576,10 @@ func NewAnalyzer(reg *astrie.Registry, opts ...Option) *Analyzer {
 			Hourly:       make(map[int64]uint64),
 			RCodes:       make(map[dnswire.RCode]uint64),
 		},
-		focus:   astrie.ProviderFacebook,
-		pending: make(map[pendingKey]pendingQuery),
-		conns:   make(map[connKey]*tcpConn),
+		focus:    astrie.ProviderFacebook,
+		pending:  make(map[pendingKey]pendingQuery),
+		conns:    make(map[connKey]*tcpConn),
+		srcIndex: make(map[netip.Addr]int32),
 	}
 	for _, o := range opts {
 		o(a)
@@ -658,7 +674,7 @@ func (a *Analyzer) handleTCP(ts time.Time, flow layers.Flow, tcp *layers.TCP, pa
 		rtt := ts.Sub(conn.synAckAt)
 		conn.rttStored = true
 		client := key.client.Addr()
-		if a.reg.ProviderOf(client) == a.focus {
+		if a.sources[a.sourceOf(client)].class.Provider == a.focus {
 			k := rttKey{Client: client, Server: key.server.Addr()}
 			r := a.agg.RTTs[k]
 			if r == nil {
@@ -710,19 +726,29 @@ func (a *Analyzer) drainFrames(buf []byte, flow layers.Flow, response bool) []by
 	return buf
 }
 
+// sourceOf returns addr's row in the source table, classifying it on
+// first sight.
+func (a *Analyzer) sourceOf(addr netip.Addr) int32 {
+	if i, ok := a.srcIndex[addr]; ok {
+		return i
+	}
+	i := int32(len(a.sources))
+	a.sources = append(a.sources, source{addr: addr, class: a.reg.Classify(addr)})
+	a.srcIndex[addr] = i
+	return i
+}
+
 // noteQuery records a query and parks it awaiting its response.
 func (a *Analyzer) noteQuery(flow layers.Flow, m msgMeta, tcp bool) {
-	client := flow.Src
-	provider := a.reg.ProviderOf(client)
+	src := a.sourceOf(flow.Src)
+	provider := a.sources[src].class.Provider
 
 	pq := pendingQuery{
-		provider:  provider,
+		src:       src,
 		qtype:     m.qtype,
 		v6:        flow.IsIPv6(),
 		tcp:       tcp,
 		edns:      m.udpSize,
-		public:    a.reg.IsPublicDNSAddr(client),
-		client:    client,
 		minimized: m.minimized,
 	}
 	key := pendingKey{
@@ -755,7 +781,7 @@ func (a *Analyzer) noteQuery(flow layers.Flow, m msgMeta, tcp bool) {
 
 	// Per-server focus accounting happens at query time.
 	if provider == a.focus {
-		k := rttKey{Client: client, Server: flow.Dst}
+		k := rttKey{Client: flow.Src, Server: flow.Dst}
 		fc, ok := a.agg.FocusQueries[k]
 		if !ok {
 			fc = &FamilyCount{}
@@ -790,7 +816,8 @@ func (a *Analyzer) noteResponse(flow layers.Flow, m msgMeta, tcp bool) {
 func (a *Analyzer) finalize(pq pendingQuery, resp *msgMeta) {
 	ag := a.agg
 	ag.Total++
-	pa := ag.Provider(pq.provider)
+	src := &a.sources[pq.src]
+	pa := ag.Provider(src.class.Provider)
 	pa.Queries++
 	pa.ByType[pq.qtype]++
 	if pq.v6 {
@@ -801,16 +828,19 @@ func (a *Analyzer) finalize(pq pendingQuery, resp *msgMeta) {
 	} else {
 		pa.EDNSSizes.Add(pq.edns)
 	}
-	if pq.public {
+	if src.class.Public {
 		pa.PublicDNSQueries++
 	}
 	if pq.minimized {
 		pa.MinimizedQueries++
 	}
-	pa.Resolvers[pq.client] = struct{}{}
-	ag.AllResolvers[pq.client] = struct{}{}
-	if asn, ok := a.reg.LookupAddr(pq.client); ok {
-		ag.ASes[asn] = struct{}{}
+	if !src.counted {
+		src.counted = true
+		pa.Resolvers[src.addr] = struct{}{}
+		ag.AllResolvers[src.addr] = struct{}{}
+		if src.class.Known {
+			ag.ASes[src.class.ASN] = struct{}{}
+		}
 	}
 	if resp == nil {
 		// Unanswered queries count as valid (the paper's junk definition
