@@ -114,8 +114,8 @@ func TestCLIShardedAnalysis(t *testing.T) {
 	}
 }
 
-// TestCLIWorkersParity checks the -workers flag end to end: parallel and
-// sequential ingestion of the same capture write identical report JSON.
+// TestCLIWorkersParity checks the -workers flag end to end: one flow
+// shard and several write identical report JSON for the same capture.
 func TestCLIWorkersParity(t *testing.T) {
 	bins := buildTools(t, "dnstracegen", "entrada")
 	dir := t.TempDir()

@@ -7,9 +7,10 @@
 //	entrada -in nl-w2020.pcap -out nl-w2020.json   # accepts pcap and pcapng
 //
 // Pass -in multiple times to analyze shards of a split capture; the
-// per-shard aggregates are merged before reporting. Ingestion is
-// flow-sharded across -workers cores (default: all of them); -workers 1
-// preserves the exact sequential behavior. -metrics-addr serves live
+// per-shard aggregates are merged before reporting. -workers N is the
+// number of flow shards ingestion runs on (default: one per core);
+// -workers 1 is one shard behind the reader, and the report is the same
+// for every N. -metrics-addr serves live
 // ingestion counters over HTTP while the run is in flight.
 //
 // With -follow, entrada becomes a long-running service: it tails one
@@ -94,7 +95,7 @@ func main() {
 	})
 	out := flag.String("out", "", "output JSON report path (default stdout)")
 	zone := flag.String("zone", "", "zone origin the capture's server is authoritative for (enables the Q-min heuristic), e.g. nl")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "flow-shard worker count (1 = sequential)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "flow-shard count (1 = one shard behind the reader)")
 	progress := flag.Duration("progress", 0, "print ingestion progress at this interval, e.g. 2s (0 disables)")
 	follow := flag.Bool("follow", false, "tail a single growing capture continuously (one -in only)")
 	window := flag.Duration("window", time.Minute, "tumbling window width in capture time for -follow")

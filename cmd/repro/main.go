@@ -29,7 +29,7 @@ func main() {
 		queries = flag.Int("queries", 200_000, "query events per vantage/week")
 		scale   = flag.Float64("scale", 0.01, "resolver population scale")
 		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "vantage/week cells and flow shards run under this worker budget (1 = sequential)")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "vantage/week cells and flow shards run under this worker budget (1 = one cell at a time, one shard behind its generator)")
 		out     = flag.String("out", "", "output path (default stdout)")
 	)
 	tm := telemetry.RegisterFlags(flag.CommandLine)

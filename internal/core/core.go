@@ -33,9 +33,10 @@ type RunConfig struct {
 	Seed int64
 	// Workers is the parallelism budget: RunAll runs up to Workers
 	// vantage/week cells concurrently, and each cell's analysis streams
-	// through a flow-sharded internal/pipeline engine when spare workers
-	// remain. 0 or 1 preserves the sequential behavior; results are
-	// identical either way (per-cell seeds are fixed up front and the
+	// through an internal/pipeline engine with the cell's share of the
+	// budget as flow shards (at least one). 0 or 1 runs the cells one
+	// after another, each behind a single shard; results are identical
+	// for every value (per-cell seeds are fixed up front and the
 	// pipeline's merge is order-insensitive).
 	Workers int
 	// Telemetry, when set, threads a live metrics registry into the
@@ -77,9 +78,8 @@ func (s analyzerSink) WritePacket(ts time.Time, data []byte) error {
 	return nil
 }
 
-// Run generates and analyzes one vantage/week. With cfg.Workers > 1 the
-// generated packets stream through a flow-sharded pipeline engine instead
-// of a single inline analyzer; the merged result is identical.
+// Run generates and analyzes one vantage/week: the generated packets
+// stream through a pipeline engine with max(cfg.Workers, 1) flow shards.
 func Run(v cloudmodel.Vantage, w cloudmodel.Week, cfg RunConfig) (*VWResult, error) {
 	cfg = cfg.withDefaults()
 	gen, err := workload.NewGenerator(workload.Config{
@@ -96,33 +96,24 @@ func Run(v cloudmodel.Vantage, w cloudmodel.Week, cfg RunConfig) (*VWResult, err
 	if err != nil {
 		return nil, err
 	}
-	anOpts := []entrada.Option{entrada.WithZoneOrigin(gen.Zone().Origin)}
-
-	var agg *entrada.Aggregates
-	var truth *workload.GroundTruth
-	if cfg.Workers > 1 {
-		eng, err := pipeline.NewEngine(context.Background(), pipeline.Options{
-			Workers:      cfg.Workers,
-			Registry:     gen.Registry(),
-			AnalyzerOpts: anOpts,
-			Telemetry:    cfg.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if truth, err = gen.Run(eng); err != nil {
-			eng.Close()
-			return nil, err
-		}
-		if agg, err = eng.Close(); err != nil {
-			return nil, err
-		}
-	} else {
-		an := entrada.NewAnalyzer(gen.Registry(), anOpts...)
-		if truth, err = gen.Run(analyzerSink{an}); err != nil {
-			return nil, err
-		}
-		agg = an.Finish()
+	// Map 0 to one shard here: pipeline.Options reads 0 as GOMAXPROCS.
+	eng, err := pipeline.NewEngine(context.Background(), pipeline.Options{
+		Workers:      max(cfg.Workers, 1),
+		Registry:     gen.Registry(),
+		AnalyzerOpts: []entrada.Option{entrada.WithZoneOrigin(gen.Zone().Origin)},
+		Telemetry:    cfg.Telemetry,
+	})
+	if err != nil {
+		return nil, err
+	}
+	truth, err := gen.Run(eng)
+	if err != nil {
+		eng.Close()
+		return nil, err
+	}
+	agg, err := eng.Close()
+	if err != nil {
+		return nil, err
 	}
 
 	model, err := cloudmodel.Get(v, w)

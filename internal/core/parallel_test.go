@@ -6,28 +6,41 @@ import (
 
 	"dnscentral/internal/cloudmodel"
 	"dnscentral/internal/entrada"
+	"dnscentral/internal/workload"
 )
 
 // TestRunParallelMatchesSequential pins the pipeline-wiring invariant:
-// streaming a cell's generated packets through the flow-sharded engine
-// (Workers > 1) yields byte-identical aggregates to the inline analyzer.
+// streaming a cell's generated packets through the flow-shard engine
+// yields byte-identical aggregates to one bare analyzer fed the same
+// trace, for one shard (Workers 0 maps to 1) and for several.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	cfg := RunConfig{TotalQueries: 8_000, ResolverScale: 0.003, Seed: 11}
 
-	seq, err := Run(cloudmodel.VantageNL, cloudmodel.W2020, cfg)
+	gen, err := workload.NewGenerator(workload.Config{
+		Vantage: cloudmodel.VantageNL, Week: cloudmodel.W2020,
+		TotalQueries: cfg.TotalQueries, ResolverScale: cfg.ResolverScale, Seed: cfg.Seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	par, err := Run(cloudmodel.VantageNL, cloudmodel.W2020, cfg)
+	an := entrada.NewAnalyzer(gen.Registry(), entrada.WithZoneOrigin(gen.Zone().Origin))
+	if _, err := gen.Run(analyzerSink{an}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(entrada.BuildReport(an.Finish(), gen.Registry()))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sj := reportJSON(t, seq.Agg, seq)
-	pj := reportJSON(t, par.Agg, par)
-	if string(sj) != string(pj) {
-		t.Fatalf("parallel report differs from sequential:\nseq: %.200s\npar: %.200s", sj, pj)
+	for _, workers := range []int{0, 4} {
+		cfg.Workers = workers
+		res, err := Run(cloudmodel.VantageNL, cloudmodel.W2020, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reportJSON(t, res.Agg, res); string(got) != string(want) {
+			t.Fatalf("workers=%d: report differs from the single analyzer:\nwant: %.200s\ngot:  %.200s", workers, want, got)
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ func FuzzUnpack(f *testing.F) {
 // input, View (Reset + Validate + accessors) must agree with the full
 // Unpack parser — both accept or both reject, and on acceptance every
 // field the analyzer consumes must match. A divergence here means the
-// lazy and eager analysis paths could classify packets differently and
-// produce different Aggregates.
+// analyzer's View decoder could classify a packet differently from the
+// full parser and produce different Aggregates.
 func FuzzViewParity(f *testing.F) {
 	seed := func(m *Message) {
 		b, err := m.Pack()

@@ -28,8 +28,8 @@ type EDNSInfo struct {
 // The walk accepts and rejects exactly the inputs Unpack does. This is a
 // hard requirement, not an optimization nicety: the entrada analyzer
 // counts a packet as malformed when decoding fails, so a View that was
-// more or less strict than Unpack would make the lazy and eager analysis
-// paths disagree on Aggregates. FuzzViewParity pins the equivalence.
+// more or less strict than Unpack would make the analyzer miscount
+// malformed packets. FuzzViewParity pins the equivalence.
 //
 // A View is meant to be embedded and reused: Reset(nil-or-next-payload)
 // between packets, no per-message state escapes. It must not outlive the

@@ -14,10 +14,7 @@ import (
 // BenchmarkAnalyzerUDPPacket measures the full per-packet cost of the
 // analyzer's UDP path — Ethernet/IP/UDP parse, DNS decode, query/response
 // join, aggregation — one packet per op, alternating queries and their
-// responses so the pending table stays in steady state. The "eager"
-// sub-benchmark forces the pre-existing full-Unpack decoder and is the
-// baseline the ISSUE's ≥2× throughput / ≤2 allocs-per-packet acceptance
-// criteria compare against (numbers recorded in BENCH_PR3.json).
+// responses so the pending table stays in steady state.
 func BenchmarkAnalyzerUDPPacket(b *testing.B) {
 	reg := astrie.NewRegistry(2)
 	pairs, total := udpPairs(b, func(i int) netip.Addr {
@@ -25,36 +22,26 @@ func BenchmarkAnalyzerUDPPacket(b *testing.B) {
 	})
 	ts := time.Unix(1_600_000_000, 0)
 
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"lazy", nil},
-		{"eager", []Option{WithEagerDecoding()}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			an := NewAnalyzer(reg, mode.opts...)
-			// Warm every map to steady state before measuring.
-			for _, p := range pairs {
-				an.HandlePacket(ts, p.q)
-				an.HandlePacket(ts, p.r)
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(total / (2 * len(pairs))))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := &pairs[(i/2)%len(pairs)]
-				if i%2 == 0 {
-					an.HandlePacket(ts, p.q)
-				} else {
-					an.HandlePacket(ts, p.r)
-				}
-			}
-			b.StopTimer()
-			if an.MalformedPackets != 0 {
-				b.Fatalf("benchmark fed %d malformed packets", an.MalformedPackets)
-			}
-		})
+	an := NewAnalyzer(reg)
+	// Warm every map to steady state before measuring.
+	for _, p := range pairs {
+		an.HandlePacket(ts, p.q)
+		an.HandlePacket(ts, p.r)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(total / (2 * len(pairs))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &pairs[(i/2)%len(pairs)]
+		if i%2 == 0 {
+			an.HandlePacket(ts, p.q)
+		} else {
+			an.HandlePacket(ts, p.r)
+		}
+	}
+	b.StopTimer()
+	if an.MalformedPackets != 0 {
+		b.Fatalf("benchmark fed %d malformed packets", an.MalformedPackets)
 	}
 }
 
@@ -100,7 +87,7 @@ func udpPairs(tb testing.TB, client func(i int) netip.Addr) ([]udpPair, int) {
 
 // TestAnalyzerUDPPairZeroAllocs is BenchmarkAnalyzerUDPPacket's allocation
 // figure as a gate: once a source is in the source table, a UDP query and
-// its response cost the lazy analyzer no allocation, for cloud, public,
+// its response cost the analyzer no allocation, for cloud, public,
 // long-tail and unregistered sources alike.
 func TestAnalyzerUDPPairZeroAllocs(t *testing.T) {
 	reg := astrie.NewRegistry(100)

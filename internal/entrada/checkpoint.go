@@ -29,7 +29,6 @@ type analyzerState struct {
 	Version   int    `json:"version"`
 	Origin    string `json:"origin,omitempty"`
 	Focus     uint8  `json:"focus"`
-	Eager     bool   `json:"eager,omitempty"`
 	Malformed uint64 `json:"malformed,omitempty"`
 	Unmatched uint64 `json:"unmatched,omitempty"`
 	// CurTS is the last packet timestamp as UnixNano; CurTSSet
@@ -201,7 +200,6 @@ func (a *Analyzer) MarshalState() ([]byte, error) {
 		Version:   CheckpointVersion,
 		Origin:    a.origin,
 		Focus:     uint8(a.focus),
-		Eager:     a.eager,
 		Malformed: a.MalformedPackets,
 		Unmatched: a.UnmatchedResp,
 	}
@@ -397,9 +395,6 @@ func RestoreAnalyzer(reg *astrie.Registry, data []byte) (*Analyzer, error) {
 	opts := []Option{WithFocusProvider(astrie.Provider(st.Focus))}
 	if st.Origin != "" {
 		opts = append(opts, WithZoneOrigin(st.Origin))
-	}
-	if st.Eager {
-		opts = append(opts, WithEagerDecoding())
 	}
 	a := NewAnalyzer(reg, opts...)
 	a.MalformedPackets = st.Malformed

@@ -211,6 +211,53 @@ func TestCheckpointGolden(t *testing.T) {
 	}
 }
 
+// TestCheckpointLegacyEagerField: checkpoints once recorded the analyzer's
+// decoder choice as "eager":true. The field is gone, and a checkpoint that
+// still carries it must restore to the same analyzer as one without it:
+// the same state bytes on re-marshal and the same final report.
+func TestCheckpointLegacyEagerField(t *testing.T) {
+	blob, g := checkpointCapture(t)
+	reg := g.Registry()
+	pkts := readAll(t, blob)
+	cut := len(pkts) / 2
+
+	an := NewAnalyzer(reg, WithZoneOrigin(g.Zone().Origin))
+	for _, p := range pkts[:cut] {
+		an.HandlePacket(p.Timestamp, p.Data)
+	}
+	state, err := an.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte(`{"version":1,`)
+	if !bytes.HasPrefix(state, prefix) {
+		t.Fatalf("checkpoint does not start with %s: %.40s", prefix, state)
+	}
+	legacy := append([]byte(`{"version":1,"eager":true,`), state[len(prefix):]...)
+
+	var reports [][]byte
+	for _, ck := range [][]byte{state, legacy} {
+		restored, err := RestoreAnalyzer(reg, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restate, err := restored.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(restate, state) {
+			t.Fatalf("restoring %.40s… does not re-marshal to the current state", ck)
+		}
+		for _, p := range pkts[cut:] {
+			restored.HandlePacket(p.Timestamp, p.Data)
+		}
+		reports = append(reports, reportJSON(t, restored.Finish(), reg))
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatal(`checkpoint with "eager":true gives a different report`)
+	}
+}
+
 // TestCheckpointVersionMismatch: a checkpoint from a different format
 // version must be rejected, not misinterpreted.
 func TestCheckpointVersionMismatch(t *testing.T) {

@@ -167,11 +167,10 @@ type source struct {
 	counted bool
 }
 
-// msgMeta is everything the analyzer consumes from one DNS message. Both
-// decode paths — the zero-allocation lazy View walk and the full Unpack
-// parse — reduce a packet to this struct before any accounting happens,
-// so the two paths cannot classify a message differently anywhere
-// downstream (the parity tests check equality end to end).
+// msgMeta is everything the analyzer consumes from one DNS message:
+// decode reduces a packet to this struct before any accounting happens.
+// The decoder differential test holds it equal, field by field, to a
+// reduction of the full dnswire.Unpack parse.
 type msgMeta struct {
 	id        uint16
 	response  bool
@@ -183,20 +182,10 @@ type msgMeta struct {
 }
 
 // decode reduces one raw DNS payload to msgMeta, reporting ok=false for
-// anything dnswire.Unpack would reject.
+// anything dnswire.Unpack would reject. It is a View walk that validates
+// the message and reads the consumed fields without materializing
+// sections.
 func (a *Analyzer) decode(payload []byte) (msgMeta, bool) {
-	if a.eager {
-		return a.decodeEager(payload)
-	}
-	return a.decodeLazy(payload)
-}
-
-// decodeLazy is the hot path: a View walk that validates the message and
-// reads the consumed fields without materializing sections. The qname is
-// appended into the analyzer's scratch buffer and only promoted to a
-// string — through the shard-local intern table — for the rare NS-query
-// shapes the minimization heuristic inspects.
-func (a *Analyzer) decodeLazy(payload []byte) (msgMeta, bool) {
 	v := &a.view
 	if err := v.Reset(payload); err != nil {
 		return msgMeta{}, false
@@ -235,33 +224,8 @@ func (a *Analyzer) decodeLazy(payload []byte) (msgMeta, bool) {
 	return m, true
 }
 
-// decodeEager is the reference path through the full parser, selectable
-// with WithEagerDecoding; the parity tests run both paths over the same
-// capture and require byte-identical aggregates.
-func (a *Analyzer) decodeEager(payload []byte) (msgMeta, bool) {
-	msg, err := dnswire.Unpack(payload)
-	if err != nil {
-		return msgMeta{}, false
-	}
-	m := msgMeta{
-		id:        msg.Header.ID,
-		response:  msg.Header.Response,
-		truncated: msg.Header.Truncated,
-		rcode:     msg.Header.RCode,
-	}
-	q := msg.Question()
-	m.qtype = q.Type
-	if a.origin != "" && q.Type == dnswire.TypeNS {
-		m.minimized = a.looksMinimized(q)
-	}
-	if msg.Edns != nil {
-		m.udpSize = int(msg.Edns.UDPSize)
-	}
-	return m, true
-}
-
-// internTable caches qname strings keyed by their byte form so the lazy
-// path can look a scratch buffer up without allocating (the compiler
+// internTable caches qname strings keyed by their byte form so decode
+// can look a scratch buffer up without allocating (the compiler
 // elides the string conversion in map reads). Analyzers are shard-local,
 // so no locks; the entry cap bounds memory against adversarial captures
 // full of unique NS names — on overflow the string is still returned,
@@ -484,13 +448,11 @@ type Analyzer struct {
 	focus  astrie.Provider
 	origin string // zone origin for the Q-min heuristic ("" disables)
 
-	// Lazy-decode machinery: the reusable message view, the scratch
-	// buffer qnames are appended into, the qname intern table, and the
-	// eager escape hatch (WithEagerDecoding) for parity testing.
+	// Decode machinery: the reusable message view, the scratch buffer
+	// qnames are appended into, and the qname intern table.
 	view    dnswire.View
 	scratch []byte
 	names   internTable
-	eager   bool
 	// segPool recycles TCP reassembly copies across this analyzer's
 	// connections.
 	segPool segmentPool
@@ -551,15 +513,6 @@ func WithFocusProvider(p astrie.Provider) Option {
 // minimized-looking.
 func WithZoneOrigin(origin string) Option {
 	return func(a *Analyzer) { a.origin = dnswire.CanonicalName(origin) }
-}
-
-// WithEagerDecoding makes the analyzer decode every message with the full
-// dnswire.Unpack parser instead of the default zero-allocation lazy
-// dnswire.View walk. Both paths produce byte-identical Aggregates — the
-// parity tests enforce it — so this exists only as the reference side of
-// those tests and as a debugging aid when lazy decoding is suspected.
-func WithEagerDecoding() Option {
-	return func(a *Analyzer) { a.eager = true }
 }
 
 // NewAnalyzer builds an analyzer classifying addresses with reg.

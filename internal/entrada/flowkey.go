@@ -11,8 +11,8 @@ import "encoding/binary"
 //
 // The extractor reads only the fixed header fields it needs (no payload
 // parsing, no allocation); frames it cannot parse fall back to shard 0,
-// where the Analyzer's full decoder counts them as malformed exactly like
-// the sequential path does.
+// where the Analyzer's decoder counts them as malformed exactly as a
+// single Analyzer would.
 
 // fnvOffset/fnvPrime are the FNV-1a 64-bit parameters.
 const (

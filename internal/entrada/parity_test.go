@@ -2,9 +2,7 @@ package entrada
 
 import (
 	"bytes"
-	"net/netip"
 	"testing"
-	"time"
 
 	"dnscentral/internal/astrie"
 	"dnscentral/internal/cloudmodel"
@@ -14,13 +12,57 @@ import (
 	"dnscentral/internal/workload"
 )
 
-// TestLazyEagerParity is the contract behind the zero-allocation fast
-// path: analyzing the same capture through the default lazy dnswire.View
-// decoder and through the option-forced full-Unpack decoder must produce
-// byte-identical Aggregates — same String() summary, same canonical
-// report JSON, same malformed/unmatched side counters. Runs under -race
-// in CI with the rest of this package.
-func TestLazyEagerParity(t *testing.T) {
+// referenceDecode is the reference the analyzer's decoder is held to: the
+// full dnswire.Unpack parse, reduced to the msgMeta fields the analyzer
+// consumes. It uses the analyzer only for its zone origin, through the
+// same Q-min heuristic decode applies.
+func referenceDecode(a *Analyzer, payload []byte) (msgMeta, bool) {
+	msg, err := dnswire.Unpack(payload)
+	if err != nil {
+		return msgMeta{}, false
+	}
+	m := msgMeta{
+		id:        msg.Header.ID,
+		response:  msg.Header.Response,
+		truncated: msg.Header.Truncated,
+		rcode:     msg.Header.RCode,
+	}
+	q := msg.Question()
+	m.qtype = q.Type
+	if a.origin != "" && q.Type == dnswire.TypeNS {
+		m.minimized = a.looksMinimized(q)
+	}
+	if msg.Edns != nil {
+		m.udpSize = int(msg.Edns.UDPSize)
+	}
+	return m, true
+}
+
+// checkDecode requires decode and referenceDecode to agree on ok and on
+// every msgMeta field.
+func checkDecode(t testing.TB, a *Analyzer, payload []byte) {
+	t.Helper()
+	got, gotOK := a.decode(payload)
+	want, wantOK := referenceDecode(a, payload)
+	if gotOK != wantOK || got != want {
+		t.Fatalf("origin %q, payload %x:\ndecode    = %+v ok=%v\nreference = %+v ok=%v",
+			a.origin, payload, got, gotOK, want, wantOK)
+	}
+}
+
+// parityCapture is one generated capture the decoder differential runs
+// over: every DNS message it carries and the zone it was served from.
+type parityCapture struct {
+	payloads [][]byte
+	origin   string
+}
+
+// parityCaptures generates the NL w2020 and NZ w2018 captures and splits
+// them into DNS messages: UDP payloads whole, TCP payloads at their
+// two-byte length prefixes (the generator puts one message per segment).
+func parityCaptures(t testing.TB) []parityCapture {
+	t.Helper()
+	var out []parityCapture
 	for _, tc := range []struct {
 		vantage cloudmodel.Vantage
 		week    cloudmodel.Week
@@ -44,46 +86,44 @@ func TestLazyEagerParity(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		blob := buf.Bytes()
-		reg := g.Registry()
-		origin := g.Zone().Origin
-
-		run := func(opts ...Option) (*Analyzer, *Aggregates) {
-			an := NewAnalyzer(reg, append([]Option{WithZoneOrigin(origin)}, opts...)...)
-			r, err := pcapio.NewReader(bytes.NewReader(blob))
+		r, err := pcapio.NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := parityCapture{origin: g.Zone().Origin}
+		p := layers.NewParser()
+		err = r.ForEach(func(pkt pcapio.Packet) error {
+			flow, err := p.Decode(pkt.Data)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			if err := an.AnalyzeReader(r); err != nil {
-				t.Fatal(err)
+			rest := p.Payload
+			if flow.Proto == layers.IPProtoUDP {
+				pc.payloads = append(pc.payloads, append([]byte(nil), rest...))
+				return nil
 			}
-			return an, an.Finish()
+			for len(rest) >= 2 {
+				n := int(rest[0])<<8 | int(rest[1])
+				if len(rest) < 2+n {
+					t.Fatalf("seed %d: TCP segment splits a message", tc.seed)
+				}
+				pc.payloads = append(pc.payloads, append([]byte(nil), rest[2:2+n]...))
+				rest = rest[2+n:]
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		lazyAn, lazy := run()
-		eagerAn, eager := run(WithEagerDecoding())
-
-		if got, want := lazy.String(), eager.String(); got != want {
-			t.Errorf("seed %d: Aggregates.String diverges:\nlazy:  %s\neager: %s", tc.seed, got, want)
-		}
-		if got, want := reportJSON(t, lazy, reg), reportJSON(t, eager, reg); !bytes.Equal(got, want) {
-			t.Errorf("seed %d: report JSON diverges between lazy and eager paths", tc.seed)
-		}
-		if lazyAn.MalformedPackets != eagerAn.MalformedPackets ||
-			lazyAn.UnmatchedResp != eagerAn.UnmatchedResp {
-			t.Errorf("seed %d: side counters diverge: malformed %d/%d unmatched %d/%d",
-				tc.seed, lazyAn.MalformedPackets, eagerAn.MalformedPackets,
-				lazyAn.UnmatchedResp, eagerAn.UnmatchedResp)
-		}
+		out = append(out, pc)
 	}
+	return out
 }
 
-// TestLazyEagerParityMalformed feeds both paths frames that exercise the
-// reject half of the contract: garbage payloads, short headers, trailing
-// bytes, and direction mismatches must be counted malformed identically.
-func TestLazyEagerParityMalformed(t *testing.T) {
-	client := netip.MustParseAddrPort("198.51.100.9:40000")
-	server := netip.MustParseAddrPort("192.0.2.1:53")
-
+// malformedPayloads are the reject half of the decoder contract, with the
+// valid query and response they are derived from.
+func malformedPayloads(t testing.TB) [][]byte {
+	t.Helper()
 	query, err := dnswire.NewQuery(7, "ok.example.nl.", dnswire.TypeA).Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -92,36 +132,85 @@ func TestLazyEagerParityMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads := [][]byte{
+	return [][]byte{
 		query,
-		resp,                                     // a response sent *to* port 53: direction mismatch
+		resp,
 		{},                                       // empty
 		{1, 2, 3},                                // short header
 		append(append([]byte{}, query...), 0xFF), // trailing byte
 		bytes.Repeat([]byte{0xFF}, 40),           // count-field garbage
 	}
+}
 
+// TestDecodeMatchesReference is the contract behind the zero-allocation
+// decoder: over every DNS message of two generated captures — queries,
+// responses, TCP and UDP, EDNS and Q-min NS shapes — the View walk must
+// produce exactly the msgMeta the full Unpack parse reduces to, with and
+// without the capture's zone origin.
+func TestDecodeMatchesReference(t *testing.T) {
 	reg := astrie.NewRegistry(2)
-	run := func(opts ...Option) *Analyzer {
-		an := NewAnalyzer(reg, opts...)
-		ts := time.Unix(1_600_000_000, 0)
-		for _, p := range payloads {
-			frame, err := layers.BuildUDP(client, server, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			an.HandlePacket(ts, frame)
+	for _, pc := range parityCaptures(t) {
+		if len(pc.payloads) == 0 {
+			t.Fatalf("origin %q: capture carried no DNS messages", pc.origin)
 		}
-		an.Finish()
-		return an
+		for _, an := range []*Analyzer{NewAnalyzer(reg), NewAnalyzer(reg, WithZoneOrigin(pc.origin))} {
+			minimized := 0
+			for _, p := range pc.payloads {
+				checkDecode(t, an, p)
+				if m, _ := an.decode(p); m.minimized {
+					minimized++
+				}
+			}
+			if an.origin != "" && minimized == 0 {
+				t.Errorf("origin %q: no message took the Q-min path", an.origin)
+			}
+		}
 	}
-	lazy := run()
-	eager := run(WithEagerDecoding())
-	if lazy.MalformedPackets != eager.MalformedPackets {
-		t.Fatalf("malformed counts diverge: lazy %d, eager %d",
-			lazy.MalformedPackets, eager.MalformedPackets)
+}
+
+// TestDecodeMatchesReferenceMalformed runs the differential over the
+// reject rows: an empty payload, a short header, a trailing byte and
+// count-field garbage must be rejected by both decoders, the valid query
+// and response accepted by both.
+func TestDecodeMatchesReferenceMalformed(t *testing.T) {
+	an := NewAnalyzer(astrie.NewRegistry(2), WithZoneOrigin("nl"))
+	for i, p := range malformedPayloads(t) {
+		checkDecode(t, an, p)
+		if _, ok := an.decode(p); ok != (i < 2) {
+			t.Errorf("row %d: decode ok = %v, want %v", i, ok, i < 2)
+		}
 	}
-	if lazy.MalformedPackets == 0 {
-		t.Fatal("expected some malformed packets to be counted")
+}
+
+// FuzzDecodeParity extends TestDecodeMatchesReference to arbitrary
+// payloads. zone selects the analyzer's origin: none, or one of the two
+// seed captures' zones.
+func FuzzDecodeParity(f *testing.F) {
+	captures := parityCaptures(f)
+	origins := []string{""}
+	for ci, pc := range captures {
+		origins = append(origins, pc.origin)
+		// A spread of each capture's messages, under its own zone and
+		// under none.
+		for i := 0; i < len(pc.payloads); i += len(pc.payloads)/32 + 1 {
+			f.Add(pc.payloads[i], uint8(0))
+			f.Add(pc.payloads[i], uint8(ci+1))
+		}
 	}
+	for _, p := range malformedPayloads(f) {
+		f.Add(p, uint8(0))
+		f.Add(p, uint8(1))
+	}
+	reg := astrie.NewRegistry(2)
+	ans := make([]*Analyzer, len(origins))
+	for i, o := range origins {
+		if o == "" {
+			ans[i] = NewAnalyzer(reg)
+		} else {
+			ans[i] = NewAnalyzer(reg, WithZoneOrigin(o))
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, zone uint8) {
+		checkDecode(t, ans[int(zone)%len(ans)], payload)
+	})
 }

@@ -32,7 +32,6 @@ type Engine struct {
 
 	closed    bool
 	malformed uint64 // summed from the analyzers at Close
-	unmatched uint64
 }
 
 // ErrClosed reports a write to a closed engine.
@@ -260,20 +259,15 @@ func (e *Engine) Close() (*entrada.Aggregates, error) {
 	}
 	agg := e.shards[0].an.Finish()
 	e.malformed = e.shards[0].an.MalformedPackets
-	e.unmatched = e.shards[0].an.UnmatchedResp
 	for _, sh := range e.shards[1:] {
 		agg.Merge(sh.an.Finish())
 		e.malformed += sh.an.MalformedPackets
-		e.unmatched += sh.an.UnmatchedResp
 	}
 	return agg, err
 }
 
 // Malformed returns the total undecodable frames; valid after Close.
 func (e *Engine) Malformed() uint64 { return e.malformed }
-
-// Unmatched returns the total orphan responses; valid after Close.
-func (e *Engine) Unmatched() uint64 { return e.unmatched }
 
 // Snapshot returns the engine's live progress counters.
 func (e *Engine) Snapshot() Stats {

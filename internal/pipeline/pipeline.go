@@ -7,15 +7,16 @@
 // all segments of a TCP connection — land on the same shard), and fans the
 // frames out over bounded queues to per-shard entrada.Analyzer workers;
 // the shard aggregates are merged at the end. Because joining and TCP
-// reassembly are flow-local, the merged result is identical to a
-// sequential single-Analyzer pass — entrada's merge property tests pin
-// that invariant.
+// reassembly are flow-local, the merged result is identical to one bare
+// entrada.Analyzer per file, merged — entrada's merge property tests pin
+// that invariant, and this package's tests compare against exactly that
+// reference. There is one code path for every worker count: Workers == 1
+// is one shard behind the reader.
 //
 // Multiple captures ingest concurrently under one worker budget: with F
 // files and W workers, min(F, W) files are in flight at once and the W
-// shard workers are spread across them. Each file gets its own analyzers
-// (exactly like the sequential per-file merge cmd/entrada always did), so
-// cross-file interleaving cannot change the result.
+// shard workers are spread across them. Each file gets its own analyzers,
+// so cross-file interleaving cannot change the result.
 package pipeline
 
 import (
@@ -34,9 +35,9 @@ import (
 
 // Options configures a Run (or a streaming Engine).
 type Options struct {
-	// Workers is the total shard-worker budget across all inputs
-	// (default runtime.GOMAXPROCS(0)). Workers == 1 runs the exact
-	// sequential path: one analyzer per file, no goroutines, no copies.
+	// Workers is the total flow-shard budget across all inputs (default
+	// runtime.GOMAXPROCS(0)). Workers == 1 is one shard behind the reader;
+	// the result is the same for every value.
 	Workers int
 	// Registry classifies source addresses; required.
 	Registry *astrie.Registry
@@ -99,13 +100,7 @@ func Run(ctx context.Context, readers []pcapio.PacketReader, opts Options) (*ent
 	stopProgress := startProgress(cnt, opts, len(readers))
 	defer stopProgress()
 
-	var agg *entrada.Aggregates
-	var err error
-	if opts.Workers == 1 {
-		agg, err = runSequential(ctx, readers, opts, cnt, perFile)
-	} else {
-		agg, err = runParallel(ctx, readers, opts, cnt, perFile)
-	}
+	agg, err := runFiles(ctx, readers, opts, cnt, perFile)
 	stopProgress()
 
 	st := cnt.snapshot(opts.Workers, len(readers))
@@ -125,72 +120,9 @@ func Run(ctx context.Context, readers []pcapio.PacketReader, opts Options) (*ent
 	return agg, st, err
 }
 
-// runSequential preserves the single-threaded behavior exactly: one
-// analyzer per file, packets handled inline, per-file merge at the end.
-//
-// The periodic n%1024 cancellation check is only for finite batch files,
-// whose reads never block; a follow-mode source carries its own context
-// and returns from a blocked ReadPacket the moment it is cancelled.
-func runSequential(ctx context.Context, readers []pcapio.PacketReader, opts Options, cnt *counters, perFile []fileCounter) (*entrada.Aggregates, error) {
-	var agg *entrada.Aggregates
-	for i, r := range readers {
-		an := entrada.NewAnalyzer(opts.Registry, opts.AnalyzerOpts...)
-		// account folds the analyzer's tallies into the per-file and
-		// global counters. It must run on every exit path — the old code
-		// only ran it after a clean EOF, so a mid-file read error lost the
-		// failing file's malformed count from Stats.PerFile.
-		account := func() {
-			perFile[i].malformed.Store(an.MalformedPackets)
-			cnt.malformed.Add(an.MalformedPackets)
-			cnt.unmatched.Add(an.UnmatchedResp)
-			cnt.dropped.Add(an.DroppedSegments())
-			cnt.tmMalformed.Add(an.MalformedPackets)
-			cnt.tmUnmatched.Add(an.UnmatchedResp)
-			cnt.tmDropped.Add(an.DroppedSegments())
-		}
-		for {
-			pkt, rerr := r.ReadPacket()
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				if errors.Is(rerr, pcapio.ErrTruncatedRecord) {
-					// Torn final record: the normal tail of a snapshot of
-					// a live capture. Count it as this file's malformed
-					// tail and keep every complete record — aborting the
-					// whole multi-file run here was the old bug.
-					perFile[i].truncated.Add(1)
-					cnt.truncated.Add(1)
-					cnt.tmTruncated.Add(1)
-					break
-				}
-				account()
-				return agg, rerr
-			}
-			perFile[i].packets.Add(1)
-			n := cnt.read.Add(1)
-			an.HandlePacket(pkt.Timestamp, pkt.Data)
-			cnt.dispatched.Add(1)
-			cnt.tmPackets.Add(1)
-			if n%1024 == 0 && ctx.Err() != nil {
-				account()
-				return agg, ctx.Err()
-			}
-		}
-		shard := an.Finish()
-		account()
-		if agg == nil {
-			agg = shard
-		} else {
-			agg.Merge(shard)
-		}
-	}
-	return agg, ctx.Err()
-}
-
-// runParallel spreads the worker budget over min(F, W) concurrently
+// runFiles spreads the worker budget over min(F, W) concurrently
 // ingesting files, each with its own flow-sharded engine.
-func runParallel(parent context.Context, readers []pcapio.PacketReader, opts Options, cnt *counters, perFile []fileCounter) (*entrada.Aggregates, error) {
+func runFiles(parent context.Context, readers []pcapio.PacketReader, opts Options, cnt *counters, perFile []fileCounter) (*entrada.Aggregates, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 

@@ -59,75 +59,66 @@ func reportBytes(t testing.TB, ag *entrada.Aggregates, reg *astrie.Registry) []b
 	return buf.Bytes()
 }
 
+// reference is the expected side of the pipeline's parity tests, built
+// without the pipeline: one bare entrada.Analyzer per capture, drained
+// with AnalyzeReader, the per-capture aggregates merged in order. It
+// returns the merged aggregates and the analyzers' malformed total.
+func reference(t testing.TB, reg *astrie.Registry, anOpts []entrada.Option, blobs ...[]byte) (*entrada.Aggregates, uint64) {
+	t.Helper()
+	var agg *entrada.Aggregates
+	var malformed uint64
+	for _, r := range openAll(t, blobs...) {
+		an := entrada.NewAnalyzer(reg, anOpts...)
+		if err := an.AnalyzeReader(r); err != nil {
+			t.Fatal(err)
+		}
+		malformed += an.MalformedPackets
+		if agg == nil {
+			agg = an.Finish()
+		} else {
+			agg.Merge(an.Finish())
+		}
+	}
+	return agg, malformed
+}
+
 // TestParallelMatchesSequential is the acceptance invariant: ingesting a
-// generated week with workers=4 must produce exactly the report the
-// workers=1 sequential path produces. Run under -race in CI.
+// generated week with any number of flow shards must produce exactly the
+// report of one bare analyzer over the capture. Run under -race in CI.
 func TestParallelMatchesSequential(t *testing.T) {
 	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 6000, 21)
 	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
+	refAgg, refMalformed := reference(t, reg, anOpts, blob)
+	want := reportBytes(t, refAgg, reg)
 
-	seqAgg, seqStats, err := Run(context.Background(), openAll(t, blob), Options{Workers: 1, Registry: reg, AnalyzerOpts: anOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parAgg, parStats, err := Run(context.Background(), openAll(t, blob), Options{Workers: 4, Registry: reg, AnalyzerOpts: anOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := reportBytes(t, parAgg, reg), reportBytes(t, seqAgg, reg); !bytes.Equal(got, want) {
-		t.Fatal("workers=4 report differs from workers=1 report")
-	}
-	if parStats.PacketsRead != seqStats.PacketsRead {
-		t.Errorf("packets read: parallel %d != sequential %d", parStats.PacketsRead, seqStats.PacketsRead)
-	}
-	if parStats.PacketsDispatched != parStats.PacketsRead {
-		t.Errorf("dispatched %d != read %d", parStats.PacketsDispatched, parStats.PacketsRead)
-	}
-	if parStats.Malformed != seqStats.Malformed {
-		t.Errorf("malformed: parallel %d != sequential %d", parStats.Malformed, seqStats.Malformed)
-	}
-	if parStats.Workers != 4 || seqStats.Workers != 1 {
-		t.Errorf("stats workers = %d/%d, want 4/1", parStats.Workers, seqStats.Workers)
-	}
-}
-
-// TestLazyEagerDecodingParity runs the same capture through the sharded
-// engine twice — once on the default lazy dnswire.View path, once with
-// WithEagerDecoding forcing the full-Unpack path — and requires
-// byte-identical reports. This is the pipeline-level guarantee that the
-// zero-allocation fast path is an optimization, not a behavior change,
-// even with flow sharding and shard merges in play. Run under -race in CI.
-func TestLazyEagerDecodingParity(t *testing.T) {
-	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 6000, 29)
-	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
-
-	lazyAgg, lazyStats, err := Run(context.Background(), openAll(t, blob), Options{Workers: 4, Registry: reg, AnalyzerOpts: anOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eagerAgg, eagerStats, err := Run(context.Background(), openAll(t, blob), Options{
-		Workers: 4, Registry: reg,
-		AnalyzerOpts: append(anOpts, entrada.WithEagerDecoding()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := reportBytes(t, lazyAgg, reg), reportBytes(t, eagerAgg, reg); !bytes.Equal(got, want) {
-		t.Fatal("lazy-decode report differs from eager-decode report")
-	}
-	if lazyStats.Malformed != eagerStats.Malformed {
-		t.Errorf("malformed: lazy %d != eager %d", lazyStats.Malformed, eagerStats.Malformed)
-	}
-	if lazyStats.PacketsRead != eagerStats.PacketsRead {
-		t.Errorf("packets read: lazy %d != eager %d", lazyStats.PacketsRead, eagerStats.PacketsRead)
+	var read uint64
+	for _, workers := range []int{1, 2, 4} {
+		agg, st, err := Run(context.Background(), openAll(t, blob), Options{Workers: workers, Registry: reg, AnalyzerOpts: anOpts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reportBytes(t, agg, reg), want) {
+			t.Fatalf("workers=%d: report differs from the single-analyzer reference", workers)
+		}
+		if read == 0 {
+			read = st.PacketsRead
+		}
+		if st.PacketsRead != read || st.PacketsDispatched != st.PacketsRead {
+			t.Errorf("workers=%d: read %d, dispatched %d; workers=1 read %d", workers, st.PacketsRead, st.PacketsDispatched, read)
+		}
+		if st.Malformed != refMalformed {
+			t.Errorf("workers=%d: malformed %d, reference %d", workers, st.Malformed, refMalformed)
+		}
+		if st.Workers != workers {
+			t.Errorf("stats workers = %d, want %d", st.Workers, workers)
+		}
 	}
 }
 
 // TestMultiFileMatchesSequential checks cross-file parallelism: three
 // captures ingested concurrently under a shared worker budget must merge
-// to the same report as the sequential per-file loop.
+// to the report of one bare analyzer per capture, merged. Seven workers
+// spread unevenly over the three files.
 func TestMultiFileMatchesSequential(t *testing.T) {
 	a, reg, _ := genWeek(t, cloudmodel.VantageNZ, 3000, 1)
 	// Same registry config across shards of one logical dataset: reuse reg
@@ -136,17 +127,15 @@ func TestMultiFileMatchesSequential(t *testing.T) {
 	b, _, _ := genWeek(t, cloudmodel.VantageNZ, 3000, 2)
 	c, _, _ := genWeek(t, cloudmodel.VantageNZ, 3000, 3)
 
-	seqAgg, _, err := Run(context.Background(), openAll(t, a, b, c), Options{Workers: 1, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
+	refAgg, _ := reference(t, reg, nil, a, b, c)
+	want := reportBytes(t, refAgg, reg)
+	for _, workers := range []int{1, 2, 4, 7} {
 		parAgg, st, err := Run(context.Background(), openAll(t, a, b, c), Options{Workers: workers, Registry: reg})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got, want := reportBytes(t, parAgg, reg), reportBytes(t, seqAgg, reg); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: multi-file report differs from sequential", workers)
+		if !bytes.Equal(reportBytes(t, parAgg, reg), want) {
+			t.Fatalf("workers=%d: multi-file report differs from the per-file reference", workers)
 		}
 		if len(st.PerFile) != 3 {
 			t.Fatalf("workers=%d: PerFile has %d entries, want 3", workers, len(st.PerFile))
@@ -168,19 +157,19 @@ func TestMultiFileMatchesSequential(t *testing.T) {
 // checks nothing deadlocks or changes the result.
 func TestBackpressureTinyQueues(t *testing.T) {
 	blob, reg, _ := genWeek(t, cloudmodel.VantageNL, 2000, 5)
-	want, _, err := Run(context.Background(), openAll(t, blob), Options{Workers: 1, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := Run(context.Background(), openAll(t, blob), Options{
-		Workers: 3, Registry: reg,
-		QueueDepth: 1, BatchSize: 4, BatchBytes: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reportBytes(t, got, reg), reportBytes(t, want, reg)) {
-		t.Fatal("tiny-queue run produced a different report")
+	refAgg, _ := reference(t, reg, nil, blob)
+	want := reportBytes(t, refAgg, reg)
+	for _, workers := range []int{1, 2, 3, 4} {
+		got, _, err := Run(context.Background(), openAll(t, blob), Options{
+			Workers: workers, Registry: reg,
+			QueueDepth: 1, BatchSize: 4, BatchBytes: 256,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reportBytes(t, got, reg), want) {
+			t.Fatalf("workers=%d: tiny-queue run produced a different report", workers)
+		}
 	}
 }
 
@@ -233,8 +222,8 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // TestEngineAsStreamingSink drives the exported Engine the way core.Run
-// does (generator → WritePacket → Close) and checks it matches the
-// sequential analyzer.
+// does (generator → WritePacket → Close) and checks it matches a single
+// analyzer fed the same packets.
 func TestEngineAsStreamingSink(t *testing.T) {
 	g, err := workload.NewGenerator(workload.Config{
 		Vantage: cloudmodel.VantageNZ, Week: cloudmodel.W2020,
@@ -273,7 +262,7 @@ func TestEngineAsStreamingSink(t *testing.T) {
 	want := an.Finish()
 
 	if !bytes.Equal(reportBytes(t, got, g.Registry()), reportBytes(t, want, g2.Registry())) {
-		t.Fatal("streaming engine report differs from sequential analyzer")
+		t.Fatal("streaming engine report differs from the single analyzer")
 	}
 	if eng.Snapshot().PacketsRead == 0 {
 		t.Error("snapshot shows zero packets read")

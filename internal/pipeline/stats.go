@@ -41,8 +41,9 @@ func shardLabel(family string, i int) string {
 type Stats struct {
 	// PacketsRead counts frames read from all inputs.
 	PacketsRead uint64
-	// PacketsDispatched counts frames handed to shard workers (sequential
-	// mode dispatches inline, so the two counters track each other).
+	// PacketsDispatched counts frames handed to shard workers. It lags
+	// PacketsRead by the frames still in partial batches and catches up
+	// when a run that did not fail flushes them.
 	PacketsDispatched uint64
 	// Malformed counts frames the analyzers could not decode, summed
 	// across all shards and files.

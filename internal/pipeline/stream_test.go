@@ -69,19 +69,16 @@ func withRetransmits(t testing.TB, blob []byte) []byte {
 }
 
 // TestStreamMatchesBatch: following a finished capture to idle-exit must
-// produce aggregates byte-identical to the batch Run over the same file,
-// for any number of shards — the windowing machinery must be invisible to
-// the final result.
+// produce aggregates byte-identical to one bare analyzer over the same
+// file, for any number of shards — the windowing machinery must be
+// invisible to the final result.
 func TestStreamMatchesBatch(t *testing.T) {
 	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 4000, 5)
 	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
 	path := writeCapture(t, blob)
 
-	batchAgg, _, err := Run(context.Background(), openAll(t, blob), Options{Workers: 1, Registry: reg, AnalyzerOpts: anOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportBytes(t, batchAgg, reg)
+	refAgg, _ := reference(t, reg, anOpts, blob)
+	want := reportBytes(t, refAgg, reg)
 
 	for _, workers := range []int{1, 2, 4} {
 		streamAgg, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
@@ -92,7 +89,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := reportBytes(t, streamAgg, reg); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: streamed report differs from batch report", workers)
+			t.Fatalf("workers=%d: streamed report differs from the reference", workers)
 		}
 		if len(res.Windows) == 0 {
 			t.Fatalf("workers=%d: no windows emitted", workers)
@@ -217,143 +214,146 @@ func checkWindowSums(t *testing.T, agg *entrada.Aggregates, windows []Window) {
 // crosses a boundary, so markers outnumber batches; with one-packet batches
 // in one-deep queues every send blocks on a worker. Checkpoints are due at
 // every marker and mostly supersede one another. Nothing may deadlock, race
-// (CI runs this package under -race) or change the result.
+// (CI runs this package under -race) or change the result, for any number
+// of shards.
 func TestStreamMarkerStorm(t *testing.T) {
 	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 1200, 77)
 	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
 	blob = withRetransmits(t, blob)
 	path := writeCapture(t, blob)
 
-	batchAgg, _, err := Run(context.Background(), openAll(t, blob), Options{Workers: 1, Registry: reg, AnalyzerOpts: anOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := telemetry.New()
-	ckDir := filepath.Join(t.TempDir(), "state")
-	agg, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
-		Options: Options{
-			Workers: 4, QueueDepth: 1, BatchSize: 1,
-			Registry: reg, AnalyzerOpts: anOpts, Telemetry: tm,
-		},
-		Window:          time.Millisecond,
-		CheckpointDir:   ckDir,
-		CheckpointEvery: 1,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := reportBytes(t, agg, reg), reportBytes(t, batchAgg, reg); !bytes.Equal(got, want) {
-		t.Fatal("report under a marker storm differs from batch report")
-	}
-	if uint64(len(res.Windows)) != res.WindowsClosed || res.WindowsClosed < res.Stats.PacketsRead/2 {
-		t.Fatalf("%d windows for %d packets (WindowsClosed %d)", len(res.Windows), res.Stats.PacketsRead, res.WindowsClosed)
-	}
-	checkWindowSums(t, agg, res.Windows)
+	refAgg, _ := reference(t, reg, anOpts, blob)
+	want := reportBytes(t, refAgg, reg)
+	for _, workers := range []int{1, 2, 4} {
+		tm := telemetry.New()
+		ckDir := filepath.Join(t.TempDir(), "state")
+		agg, res, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
+			Options: Options{
+				Workers: workers, QueueDepth: 1, BatchSize: 1,
+				Registry: reg, AnalyzerOpts: anOpts, Telemetry: tm,
+			},
+			Window:          time.Millisecond,
+			CheckpointDir:   ckDir,
+			CheckpointEvery: 1,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reportBytes(t, agg, reg), want) {
+			t.Fatalf("workers=%d: report under a marker storm differs from the reference", workers)
+		}
+		if uint64(len(res.Windows)) != res.WindowsClosed || res.WindowsClosed < res.Stats.PacketsRead/2 {
+			t.Fatalf("workers=%d: %d windows for %d packets (WindowsClosed %d)", workers, len(res.Windows), res.Stats.PacketsRead, res.WindowsClosed)
+		}
+		checkWindowSums(t, agg, res.Windows)
 
-	// The checkpoint on disk is the shutdown one, and every cut before it
-	// asked for one too: each was written or superseded.
-	ck, ok, err := loadCheckpoint(ckDir)
-	if err != nil || !ok {
-		t.Fatalf("loading the shutdown checkpoint: ok=%v err=%v", ok, err)
-	}
-	if ck.Offset != int64(len(blob)) || len(ck.Shards) != 4 {
-		t.Fatalf("shutdown checkpoint at offset %d with %d shards, want %d and 4", ck.Offset, len(ck.Shards), len(blob))
-	}
-	written := tm.Histogram(MetricCheckpointSeconds).Count()
-	superseded := tm.Counter(MetricCheckpointsSuperseded).Value()
-	if written == 0 || written+superseded != ck.WindowsClosed+1 {
-		t.Fatalf("%d checkpoints written + %d superseded, want %d boundary ones + 1", written, superseded, ck.WindowsClosed)
-	}
-	if got := tm.Gauge(MetricCheckpointBytes).Value(); got <= 0 {
-		t.Fatalf("%s = %d", MetricCheckpointBytes, got)
+		// The checkpoint on disk is the shutdown one, and every cut before
+		// it asked for one too: each was written or superseded.
+		ck, ok, err := loadCheckpoint(ckDir)
+		if err != nil || !ok {
+			t.Fatalf("workers=%d: loading the shutdown checkpoint: ok=%v err=%v", workers, ok, err)
+		}
+		if ck.Offset != int64(len(blob)) || len(ck.Shards) != workers {
+			t.Fatalf("shutdown checkpoint at offset %d with %d shards, want %d and %d", ck.Offset, len(ck.Shards), len(blob), workers)
+		}
+		written := tm.Histogram(MetricCheckpointSeconds).Count()
+		superseded := tm.Counter(MetricCheckpointsSuperseded).Value()
+		if written == 0 || written+superseded != ck.WindowsClosed+1 {
+			t.Fatalf("workers=%d: %d checkpoints written + %d superseded, want %d boundary ones + 1", workers, written, superseded, ck.WindowsClosed)
+		}
+		if got := tm.Gauge(MetricCheckpointBytes).Value(); got <= 0 {
+			t.Fatalf("workers=%d: %s = %d", workers, MetricCheckpointBytes, got)
+		}
 	}
 }
 
 // TestStreamKillResumeExact is the tentpole acceptance criterion at unit
-// level: cancel a two-shard checkpointing stream partway (the in-process
-// stand-in for kill -9 — the checkpoint on disk is all a restart would
-// have), resume from the checkpoint directory while asking for a different
-// worker count, and require the resumed run to keep the checkpoint's two
-// shards and its final report to be byte-identical to an uninterrupted
-// batch run.
+// level: cancel a checkpointing stream partway (the in-process stand-in
+// for kill -9 — the checkpoint on disk is all a restart would have),
+// resume from the checkpoint directory while asking for a different worker
+// count, and require the resumed run to keep the checkpoint's shards and
+// its final report to be byte-identical to one bare analyzer over the
+// whole capture. Runs with one, two and four shards.
 func TestStreamKillResumeExact(t *testing.T) {
 	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 4000, 99)
 	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
 	path := writeCapture(t, blob)
-	ckDir := filepath.Join(t.TempDir(), "state")
 
-	batchAgg, _, err := Run(context.Background(), openAll(t, blob), Options{Workers: 1, Registry: reg, AnalyzerOpts: anOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportBytes(t, batchAgg, reg)
+	refAgg, _ := reference(t, reg, anOpts, blob)
+	want := reportBytes(t, refAgg, reg)
 
-	// Phase 1: cancel hard once a boundary checkpoint past the third window
-	// is on disk. To simulate SIGKILL — which would leave only that
-	// BOUNDARY checkpoint, never a graceful shutdown one — snapshot the
-	// file at the moment of the "kill" and restore it afterwards,
-	// discarding anything the cancelled run wrote while winding down.
-	// Checkpoints are written in the background, so which boundary the
-	// snapshot is from is up to the disk; that it is one is what matters.
-	ctx, cancel := context.WithCancel(context.Background())
-	ckPath := filepath.Join(ckDir, "entrada.ckpt")
-	var killCk []byte
-	windows := 0
-	_, res1, err := RunStream(ctx, path, streamOpts(StreamOptions{
-		Options:         Options{Workers: 2, Registry: reg, AnalyzerOpts: anOpts},
-		Window:          30 * time.Minute,
-		CheckpointDir:   ckDir,
-		CheckpointEvery: 1,
-		OnWindow: func(Window) {
-			windows++
-			if windows < 3 || killCk != nil {
-				return
-			}
-			if b, rdErr := os.ReadFile(ckPath); rdErr == nil {
-				killCk = b
-				cancel()
-			}
-		},
-	}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("phase 1: err = %v, want context.Canceled", err)
-	}
-	if len(killCk) == 0 {
-		t.Fatal("no checkpoint captured at kill point")
-	}
-	killed, err := decodeCheckpoint(killCk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(killed.Shards) != 2 || killed.Offset <= 0 || killed.Offset >= int64(len(blob)) || killed.WindowsClosed == 0 {
-		t.Fatalf("kill-point checkpoint: %d shards, offset %d of %d, %d windows closed", len(killed.Shards), killed.Offset, len(blob), killed.WindowsClosed)
-	}
-	if err := os.WriteFile(ckPath, killCk, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, workers := range []int{1, 2, 4} {
+		ckDir := filepath.Join(t.TempDir(), "state")
 
-	// Phase 2: resume. Must pick up at the recorded offset, under the
-	// checkpoint's sharding, and finish with the exact batch report.
-	agg2, res2, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
-		Options:       Options{Workers: 4, Registry: reg, AnalyzerOpts: anOpts},
-		Window:        30 * time.Minute,
-		CheckpointDir: ckDir,
-		Resume:        true,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Resumed {
-		t.Fatal("phase 2 did not resume from checkpoint")
-	}
-	if res2.Stats.Workers != 2 {
-		t.Fatalf("phase 2 ran %d workers, want the checkpoint's 2", res2.Stats.Workers)
-	}
-	if got := reportBytes(t, agg2, reg); !bytes.Equal(got, want) {
-		t.Fatal("resumed report differs from uninterrupted batch report")
-	}
-	if res2.WindowsClosed <= killed.WindowsClosed || res2.WindowsClosed < res1.WindowsClosed {
-		t.Fatalf("resumed windows %d did not continue from %d (phase 1 reached %d)", res2.WindowsClosed, killed.WindowsClosed, res1.WindowsClosed)
+		// Phase 1: cancel hard once a boundary checkpoint past the third
+		// window is on disk. To simulate SIGKILL — which would leave only
+		// that BOUNDARY checkpoint, never a graceful shutdown one —
+		// snapshot the file at the moment of the "kill" and restore it
+		// afterwards, discarding anything the cancelled run wrote while
+		// winding down. Checkpoints are written in the background, so
+		// which boundary the snapshot is from is up to the disk; that it
+		// is one is what matters.
+		ctx, cancel := context.WithCancel(context.Background())
+		ckPath := filepath.Join(ckDir, "entrada.ckpt")
+		var killCk []byte
+		windows := 0
+		_, res1, err := RunStream(ctx, path, streamOpts(StreamOptions{
+			Options:         Options{Workers: workers, Registry: reg, AnalyzerOpts: anOpts},
+			Window:          30 * time.Minute,
+			CheckpointDir:   ckDir,
+			CheckpointEvery: 1,
+			OnWindow: func(Window) {
+				windows++
+				if windows < 3 || killCk != nil {
+					return
+				}
+				if b, rdErr := os.ReadFile(ckPath); rdErr == nil {
+					killCk = b
+					cancel()
+				}
+			},
+		}))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: phase 1: err = %v, want context.Canceled", workers, err)
+		}
+		if len(killCk) == 0 {
+			t.Fatalf("workers=%d: no checkpoint captured at kill point", workers)
+		}
+		killed, err := decodeCheckpoint(killCk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(killed.Shards) != workers || killed.Offset <= 0 || killed.Offset >= int64(len(blob)) || killed.WindowsClosed == 0 {
+			t.Fatalf("workers=%d: kill-point checkpoint: %d shards, offset %d of %d, %d windows closed", workers, len(killed.Shards), killed.Offset, len(blob), killed.WindowsClosed)
+		}
+		if err := os.WriteFile(ckPath, killCk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		// Phase 2: resume. Must pick up at the recorded offset, under the
+		// checkpoint's sharding, and finish with the reference report.
+		agg2, res2, err := RunStream(context.Background(), path, streamOpts(StreamOptions{
+			Options:       Options{Workers: 3, Registry: reg, AnalyzerOpts: anOpts},
+			Window:        30 * time.Minute,
+			CheckpointDir: ckDir,
+			Resume:        true,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res2.Resumed {
+			t.Fatalf("workers=%d: phase 2 did not resume from checkpoint", workers)
+		}
+		if res2.Stats.Workers != workers {
+			t.Fatalf("phase 2 ran %d workers, want the checkpoint's %d", res2.Stats.Workers, workers)
+		}
+		if !bytes.Equal(reportBytes(t, agg2, reg), want) {
+			t.Fatalf("workers=%d: resumed report differs from the reference", workers)
+		}
+		if res2.WindowsClosed <= killed.WindowsClosed || res2.WindowsClosed < res1.WindowsClosed {
+			t.Fatalf("workers=%d: resumed windows %d did not continue from %d (phase 1 reached %d)", workers, res2.WindowsClosed, killed.WindowsClosed, res1.WindowsClosed)
+		}
 	}
 }
 
@@ -429,7 +429,7 @@ func TestStreamWindowTelemetry(t *testing.T) {
 
 // TestBatchTruncatedTailTolerated: a torn final record in one input of a
 // batch Run must not abort the run — its complete prefix is kept and the
-// tear is counted per file, for both sequential and parallel modes.
+// tear is counted per file, with one shard and with several.
 func TestBatchTruncatedTailTolerated(t *testing.T) {
 	blob, reg, origin := genWeek(t, cloudmodel.VantageNL, 2000, 11)
 	anOpts := []entrada.Option{entrada.WithZoneOrigin(origin)}
@@ -454,11 +454,11 @@ func TestBatchTruncatedTailTolerated(t *testing.T) {
 	}
 }
 
-// TestSequentialErrorPathStats: a mid-file decode failure must still
-// surface the failing file's malformed count in Stats.PerFile (the old
-// code only stored it after a clean Finish) and the Progress callback
-// must receive one final snapshot with PerFile populated.
-func TestSequentialErrorPathStats(t *testing.T) {
+// TestErrorPathStats: a mid-file decode failure must still surface the
+// failing file's counts in Stats.PerFile, and the Progress callback must
+// receive one final snapshot with PerFile populated, with one shard and
+// with several.
+func TestErrorPathStats(t *testing.T) {
 	blob, reg, _ := genWeek(t, cloudmodel.VantageNL, 500, 13)
 
 	// Corrupt one mid-file record header so its declared caplen exceeds
@@ -478,23 +478,25 @@ func TestSequentialErrorPathStats(t *testing.T) {
 	// caplen field is bytes 8..12 of the record header (little-endian).
 	corrupt[off+8], corrupt[off+9], corrupt[off+10], corrupt[off+11] = 0xFF, 0xFF, 0xFF, 0x7F
 
-	var mu_last Stats
-	gotFinal := false
-	_, st, err := Run(context.Background(), openAll(t, corrupt), Options{
-		Workers: 1, Registry: reg,
-		Progress:         func(s Stats) { mu_last = s; gotFinal = len(s.PerFile) > 0 },
-		ProgressInterval: time.Hour, // only the final snapshot fires
-	})
-	if err == nil {
-		t.Fatal("corrupt record did not error")
-	}
-	if st.PerFile[0].Packets == 0 {
-		t.Fatal("failing file's packet count missing from PerFile")
-	}
-	if !gotFinal {
-		t.Fatalf("no final Progress snapshot with PerFile (last: %+v)", mu_last)
-	}
-	if mu_last.PerFile[0].Packets != st.PerFile[0].Packets {
-		t.Fatalf("final Progress snapshot stale: %+v vs %+v", mu_last.PerFile[0], st.PerFile[0])
+	for _, workers := range []int{1, 4} {
+		var last Stats
+		gotFinal := false
+		_, st, err := Run(context.Background(), openAll(t, corrupt), Options{
+			Workers: workers, Registry: reg,
+			Progress:         func(s Stats) { last = s; gotFinal = len(s.PerFile) > 0 },
+			ProgressInterval: time.Hour, // only the final snapshot fires
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: corrupt record did not error", workers)
+		}
+		if st.PerFile[0].Packets == 0 {
+			t.Fatalf("workers=%d: failing file's packet count missing from PerFile", workers)
+		}
+		if !gotFinal {
+			t.Fatalf("workers=%d: no final Progress snapshot with PerFile (last: %+v)", workers, last)
+		}
+		if last.PerFile[0].Packets != st.PerFile[0].Packets {
+			t.Fatalf("workers=%d: final Progress snapshot stale: %+v vs %+v", workers, last.PerFile[0], st.PerFile[0])
+		}
 	}
 }
