@@ -26,7 +26,6 @@ import (
 	"dnscentral/internal/pipeline"
 	"dnscentral/internal/resolver"
 	"dnscentral/internal/sim"
-	"dnscentral/internal/stats"
 	"dnscentral/internal/workload"
 	"dnscentral/internal/zonedb"
 )
@@ -371,40 +370,6 @@ func BenchmarkAblationHierarchy(b *testing.B) {
 	b.ReportMetric(100*tldShare, "tld-share-pct")
 }
 
-// BenchmarkAblationCounting compares exact resolver-set counting with the
-// HyperLogLog estimator ENTRADA-scale deployments would use.
-func BenchmarkAblationCounting(b *testing.B) {
-	const n = 200_000
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("resolver-%d", i%50_000)
-	}
-	b.Run("exact-set", func(b *testing.B) {
-		b.ReportAllocs()
-		var card int
-		for i := 0; i < b.N; i++ {
-			set := make(map[string]struct{}, 1024)
-			for _, k := range keys {
-				set[k] = struct{}{}
-			}
-			card = len(set)
-		}
-		b.ReportMetric(float64(card), "cardinality")
-	})
-	b.Run("hyperloglog", func(b *testing.B) {
-		b.ReportAllocs()
-		var est float64
-		for i := 0; i < b.N; i++ {
-			h := stats.NewHLL(12)
-			for _, k := range keys {
-				h.AddString(k)
-			}
-			est = h.Estimate()
-		}
-		b.ReportMetric(est, "cardinality")
-	})
-}
-
 // BenchmarkPipelineThroughput measures end-to-end generate+analyze packets
 // per second — the reproduction's answer to ENTRADA's throughput numbers.
 func BenchmarkPipelineThroughput(b *testing.B) {
@@ -474,4 +439,3 @@ func BenchmarkPipelineIngest(b *testing.B) {
 	}
 	b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) { run(b, par) })
 }
-

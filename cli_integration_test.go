@@ -3,33 +3,66 @@ package dnscentral_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dnscentral/internal/pcapio"
 )
 
-// buildTools compiles the cmd/ binaries once per test run.
+// toolsDir holds the cmd/ binaries that buildTools compiles; TestMain makes
+// it and removes it after the run.
+var toolsDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "dnscentral-tools-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	toolsDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// toolBuild is one cmd/ binary, built at most once per test binary.
+type toolBuild struct {
+	once sync.Once
+	bin  string
+	err  error
+}
+
+var toolBuilds sync.Map // tool name → *toolBuild
+
+// buildTools returns the paths of the named cmd/ binaries, building each
+// on its first request and sharing it with every later test.
 func buildTools(t *testing.T, names ...string) map[string]string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := t.TempDir()
 	out := make(map[string]string, len(names))
 	for _, name := range names {
-		bin := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-		cmd.Dir = "."
-		if b, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, b)
+		v, _ := toolBuilds.LoadOrStore(name, new(toolBuild))
+		tb := v.(*toolBuild)
+		tb.once.Do(func() {
+			tb.bin = filepath.Join(toolsDir, name)
+			cmd := exec.Command("go", "build", "-o", tb.bin, "./cmd/"+name)
+			if b, err := cmd.CombinedOutput(); err != nil {
+				tb.err = fmt.Errorf("building %s: %v\n%s", name, err, b)
+			}
+		})
+		if tb.err != nil {
+			t.Fatal(tb.err)
 		}
-		out[name] = bin
+		out[name] = tb.bin
 	}
 	return out
 }
@@ -68,9 +101,9 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var parsed struct {
-		TotalQueries uint64             `json:"total_queries"`
-		CloudShare   float64            `json:"cloud_share"`
-		Providers    map[string]any     `json:"providers"`
+		TotalQueries uint64         `json:"total_queries"`
+		CloudShare   float64        `json:"cloud_share"`
+		Providers    map[string]any `json:"providers"`
 	}
 	if err := json.Unmarshal(raw, &parsed); err != nil {
 		t.Fatalf("report JSON: %v", err)

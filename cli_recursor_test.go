@@ -147,8 +147,8 @@ func TestCLIRecursorAggressiveNSEC(t *testing.T) {
 		name := []byte{7, 'j', 'u', 'n', 'k', byte('0' + i), 'z', 'z', 2, 'n', 'l', 0}
 		q := []byte{0, byte(i + 1), 0, 0, 0, 1, 0, 0, 0, 0, 0, 1}
 		q = append(q, name...)
-		q = append(q, 0, 1, 0, 1)                              // A IN
-		q = append(q, 0, 0, 41, 4, 208, 0, 0, 128, 0, 0, 0)    // OPT: 1232, DO
+		q = append(q, 0, 1, 0, 1)                           // A IN
+		q = append(q, 0, 0, 41, 4, 208, 0, 0, 128, 0, 0, 0) // OPT: 1232, DO
 		if _, err := conn.Write(q); err != nil {
 			t.Fatal(err)
 		}

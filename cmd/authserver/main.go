@@ -37,11 +37,10 @@ func main() {
 		idle   = flag.Duration("tcp-idle", 10*time.Second, "TCP idle timeout before the server hangs up")
 		maxTCP = flag.Int("max-tcp", 128, "max concurrent TCP connections (<0 = unlimited)")
 
-		udpBatch    = flag.Int("udp-batch", 32, "datagrams per recvmmsg/sendmmsg syscall on the batched UDP engine")
-		udpSockets  = flag.Int("udp-sockets", 0, "SO_REUSEPORT UDP sockets / receive loops (0 = GOMAXPROCS, capped at 8)")
-		udpPortable = flag.Bool("udp-portable", false, "force the one-datagram-per-syscall portable UDP loop (benchmark baseline)")
-		udpGSO      = flag.Bool("udp-gso", true, "UDP segmentation offload: coalesce equal-destination response runs into UDP_SEGMENT super-datagrams and split GRO-coalesced receives (auto-fallback on unsupported kernels)")
-		udpPin      = flag.Bool("udp-pin", false, "pin each UDP socket loop to a CPU core and steer reuseport delivery to the receiving core's socket")
+		udpBatch   = flag.Int("udp-batch", 32, "datagrams per recvmmsg/sendmmsg syscall on the batched UDP engine")
+		udpSockets = flag.Int("udp-sockets", 0, "SO_REUSEPORT UDP sockets / receive loops (0 = GOMAXPROCS, capped at 8)")
+		udpGSO     = flag.Bool("udp-gso", true, "UDP segmentation offload: coalesce equal-destination response runs into UDP_SEGMENT super-datagrams and split GRO-coalesced receives (auto-fallback on unsupported kernels)")
+		udpPin     = flag.Bool("udp-pin", false, "pin each UDP socket loop to a CPU core and steer reuseport delivery to the receiving core's socket")
 
 		loss    = flag.Float64("chaos-loss", 0, "impairment proxy: per-direction UDP loss probability")
 		dup     = flag.Float64("chaos-dup", 0, "impairment proxy: response duplication probability")
@@ -95,7 +94,6 @@ func main() {
 		MaxTCPConns:    *maxTCP,
 		UDPBatch:       *udpBatch,
 		UDPSockets:     *udpSockets,
-		UDPPortable:    *udpPortable,
 		UDPGSO:         *udpGSO,
 		UDPPin:         *udpPin,
 		Telemetry:      reg,

@@ -75,15 +75,14 @@ func main() {
 		floodHold  = flag.Duration("flood-hold", 5*time.Second, "suppression hold once a zone trips")
 		floodProbe = flag.Int("flood-probe", 1, "misses/sec still forwarded for a suppressed zone")
 
-		workers     = flag.Int("udp-workers", 0, "deprecated alias for -udp-sockets")
-		udpSockets  = flag.Int("udp-sockets", 0, "SO_REUSEPORT UDP sockets / receive loops, each with its own Scratch (0 = GOMAXPROCS, capped at 8)")
-		udpBatch    = flag.Int("udp-batch", 32, "datagrams per recvmmsg/sendmmsg syscall on the batched UDP engine")
-		udpPortable = flag.Bool("udp-portable", false, "force the one-datagram-per-syscall portable UDP loop (benchmark baseline)")
-		udpGSO      = flag.Bool("udp-gso", true, "UDP segmentation offload: coalesce equal-destination response runs into UDP_SEGMENT super-datagrams and split GRO-coalesced receives (auto-fallback on unsupported kernels)")
-		udpPin      = flag.Bool("udp-pin", false, "pin each UDP socket loop to a CPU core and steer reuseport delivery to the receiving core's socket")
-		idle        = flag.Duration("tcp-idle", 10*time.Second, "stub TCP idle timeout")
-		maxTCP      = flag.Int("max-tcp", 128, "max concurrent stub TCP connections (<0 = unlimited)")
-		verbose     = flag.Bool("v", false, "log per-error diagnostics")
+		workers    = flag.Int("udp-workers", 0, "deprecated alias for -udp-sockets")
+		udpSockets = flag.Int("udp-sockets", 0, "SO_REUSEPORT UDP sockets / receive loops, each with its own Scratch (0 = GOMAXPROCS, capped at 8)")
+		udpBatch   = flag.Int("udp-batch", 32, "datagrams per recvmmsg/sendmmsg syscall on the batched UDP engine")
+		udpGSO     = flag.Bool("udp-gso", true, "UDP segmentation offload: coalesce equal-destination response runs into UDP_SEGMENT super-datagrams and split GRO-coalesced receives (auto-fallback on unsupported kernels)")
+		udpPin     = flag.Bool("udp-pin", false, "pin each UDP socket loop to a CPU core and steer reuseport delivery to the receiving core's socket")
+		idle       = flag.Duration("tcp-idle", 10*time.Second, "stub TCP idle timeout")
+		maxTCP     = flag.Int("max-tcp", 128, "max concurrent stub TCP connections (<0 = unlimited)")
+		verbose    = flag.Bool("v", false, "log per-error diagnostics")
 	)
 	tm := telemetry.RegisterFlags(flag.CommandLine)
 	prof := profiling.Register(flag.CommandLine)
@@ -139,7 +138,6 @@ func main() {
 	srv, err := recursor.Serve(*listen, rec, recursor.ServerConfig{
 		UDPWorkers:     sockets,
 		UDPBatch:       *udpBatch,
-		UDPPortable:    *udpPortable,
 		UDPGSO:         *udpGSO,
 		UDPPin:         *udpPin,
 		TCPIdleTimeout: *idle,

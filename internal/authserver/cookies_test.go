@@ -108,8 +108,8 @@ func TestMalformedCookieIgnored(t *testing.T) {
 }
 
 func TestCookieSecretsDiffer(t *testing.T) {
-	e1 := nlEngine(t, WithCookieSecret(1))
-	e2 := nlEngine(t, WithCookieSecret(2))
+	e1, e2 := nlEngine(t), nlEngine(t)
+	e1.cookieSecret, e2.cookieSecret = 1, 2
 	cc := [ClientCookieLen]byte{1, 2, 3, 4, 5, 6, 7, 8}
 	s1 := e1.serverCookie(testClient, cc)
 	s2 := e2.serverCookie(testClient, cc)

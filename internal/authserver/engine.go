@@ -41,7 +41,6 @@ type Engine struct {
 	rrl          RRLConfig
 	now          func() time.Time
 	cookieSecret uint64
-	nsec3        *NSEC3Config
 
 	mu      sync.Mutex
 	buckets map[netip.Addr]*bucket
@@ -83,28 +82,6 @@ func WithRRL(cfg RRLConfig) Option {
 		}
 		e.rrl = cfg
 	}
-}
-
-// NSEC3Config selects RFC 5155 hashed denial of existence.
-type NSEC3Config struct {
-	// Salt and Iterations parameterize the hash; production TLDs of the
-	// study period commonly used a short salt and 0–10 iterations.
-	Salt       []byte
-	Iterations uint16
-}
-
-// WithNSEC3 switches negative answers from NSEC to NSEC3 denial, matching
-// how .nl and most signed TLDs actually answer (hashed owner names keep
-// the zone unenumerable). NSEC3 denial is slightly larger than NSEC, so
-// the §4.4 truncation behavior is preserved.
-func WithNSEC3(cfg NSEC3Config) Option {
-	return func(e *Engine) { e.nsec3 = &cfg }
-}
-
-// WithCookieSecret sets the RFC 7873 server-cookie secret (a random
-// default is fine for tests; production would rotate it).
-func WithCookieSecret(secret uint64) Option {
-	return func(e *Engine) { e.cookieSecret = secret }
 }
 
 // WithClock injects a time source (tests and simulation).
@@ -287,17 +264,6 @@ func (e *Engine) answer(q *dnswire.Message) *dnswire.Message {
 			if do {
 				r.Answers = append(r.Answers, signatureFor(r.Answers[0], zone.Origin))
 			}
-		case dnswire.TypeNSEC3PARAM:
-			if e.nsec3 != nil {
-				r.Answers = []dnswire.RR{{
-					Name: zone.Origin, Class: dnswire.ClassIN, TTL: 0,
-					Data: dnswire.NSEC3PARAMData{
-						HashAlgo: 1, Iterations: e.nsec3.Iterations, Salt: e.nsec3.Salt,
-					},
-				}}
-			} else {
-				r.Authority = []dnswire.RR{zone.SOA()}
-			}
 		default:
 			// NODATA: NOERROR with SOA in authority.
 			r.Authority = []dnswire.RR{zone.SOA()}
@@ -414,10 +380,6 @@ func signatureFor(rr dnswire.RR, signer string) dnswire.RR {
 func (e *Engine) addDenialProof(r *dnswire.Message, qname string) {
 	soa := r.Authority[0]
 	r.Authority = append(r.Authority, signatureFor(soa, e.zone.Origin))
-	if e.nsec3 != nil {
-		e.addNSEC3Denial(r, qname)
-		return
-	}
 	owner, next := DenialRange(e.zone.Origin, qname)
 	nsec := dnswire.RR{
 		Name: owner, Class: dnswire.ClassIN, TTL: soa.TTL,
@@ -538,52 +500,6 @@ func (e *Engine) answerLeaf(r *dnswire.Message, qname string, qtype dnswire.Type
 		r.Answers = append(r.Answers, signatureFor(r.Answers[0], zone.Origin))
 	}
 	return r
-}
-
-// addNSEC3Denial emits the RFC 5155 closest-encloser proof: an NSEC3
-// matching the closest encloser (the apex, for a TLD's direct children)
-// and an NSEC3 covering the hash of the next closer name, each signed.
-func (e *Engine) addNSEC3Denial(r *dnswire.Message, qname string) {
-	cfg := e.nsec3
-	origin := e.zone.Origin
-	apexHash, err1 := dnswire.NSEC3Hash(origin, cfg.Salt, cfg.Iterations)
-	qHash, err2 := dnswire.NSEC3Hash(qname, cfg.Salt, cfg.Iterations)
-	if err1 != nil || err2 != nil {
-		return
-	}
-	ttl := r.Authority[0].TTL
-	// Matching NSEC3 for the closest encloser (the apex).
-	apexNext := append([]byte(nil), apexHash...)
-	apexNext[len(apexNext)-1]++
-	matching := dnswire.RR{
-		Name:  joinLabel(dnswire.Base32Hex(apexHash), origin),
-		Class: dnswire.ClassIN, TTL: ttl,
-		Data: dnswire.NSEC3Data{
-			HashAlgo: 1, Flags: 1, Iterations: cfg.Iterations, Salt: cfg.Salt,
-			NextHashed: apexNext,
-			Types: []dnswire.Type{
-				dnswire.TypeNS, dnswire.TypeSOA, dnswire.TypeRRSIG,
-				dnswire.TypeDNSKEY, dnswire.TypeNSEC3PARAM,
-			},
-		},
-	}
-	// Covering NSEC3 for the next closer name: a range bracketing qHash.
-	lo := append([]byte(nil), qHash...)
-	lo[len(lo)-1]--
-	hi := append([]byte(nil), qHash...)
-	hi[len(hi)-1]++
-	covering := dnswire.RR{
-		Name:  joinLabel(dnswire.Base32Hex(lo), origin),
-		Class: dnswire.ClassIN, TTL: ttl,
-		Data: dnswire.NSEC3Data{
-			HashAlgo: 1, Flags: 1, Iterations: cfg.Iterations, Salt: cfg.Salt,
-			NextHashed: hi,
-		},
-	}
-	r.Authority = append(r.Authority,
-		matching, signatureFor(matching, origin),
-		covering, signatureFor(covering, origin),
-	)
 }
 
 // addApexGlue attaches address records for the zone's own servers.

@@ -89,6 +89,19 @@ func TestApexNoData(t *testing.T) {
 	}
 }
 
+// TestNSEC3PARAMAtApex: the engine denies with plain NSEC, so an apex
+// NSEC3PARAM query is NODATA like any other absent apex type.
+func TestNSEC3PARAMAtApex(t *testing.T) {
+	e := nlEngine(t)
+	r := handle(t, e, "nl.", dnswire.TypeNSEC3PARAM)
+	if r.Header.RCode != dnswire.RCodeNoError || len(r.Answers) != 0 {
+		t.Fatalf("NODATA expected: %+v", r)
+	}
+	if len(r.Authority) != 1 || r.Authority[0].Data.Type() != dnswire.TypeSOA {
+		t.Fatalf("authority: %v", r.Authority)
+	}
+}
+
 func TestReferralForRegisteredDomain(t *testing.T) {
 	e := nlEngine(t)
 	r := handle(t, e, "www.d7.nl.", dnswire.TypeA)
@@ -403,10 +416,10 @@ func TestPackResponseTruncatesUDP(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	e := nlEngine(t)
-	handle(t, e, "d1.nl.", dnswire.TypeA)        // referral
-	handle(t, e, "nope.nl.", dnswire.TypeA)      // nxdomain
-	handle(t, e, "nl.", dnswire.TypeSOA)         // apex
-	handle(t, e, "example.org.", dnswire.TypeA)  // refused
+	handle(t, e, "d1.nl.", dnswire.TypeA)       // referral
+	handle(t, e, "nope.nl.", dnswire.TypeA)     // nxdomain
+	handle(t, e, "nl.", dnswire.TypeSOA)        // apex
+	handle(t, e, "example.org.", dnswire.TypeA) // refused
 	st := e.Stats()
 	if st.Queries != 4 || st.Referrals != 1 || st.NXDomain != 1 || st.ApexAnswers != 1 || st.Refused != 1 {
 		t.Errorf("stats: %+v", st)

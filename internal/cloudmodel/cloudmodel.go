@@ -302,10 +302,10 @@ var Model = map[Vantage]map[Week]*VantageWeek{
 			TotalQueries: 4.13e9, ValidShare: 1.43 / 4.13,
 			Resolvers: 4_130_000, ASes: 48154,
 			Providers: map[astrie.Provider]Profile{
-				astrie.ProviderGoogle:     gp(0.030, 0.50, 0, 0, 0.28, 21000, 0.31, 0.87, 0.15),
-				astrie.ProviderAmazon:     amzn(0.016, 0.02, 0.01, 0, 0.33, 27000, 0.01),
-				astrie.ProviderMicrosoft:  msft(0.012, 0.38, 10000, 0.025),
-				astrie.ProviderFacebook:   fb(0.005, 0.78, 0.20, 0, 0.24, 2200),
+				astrie.ProviderGoogle:    gp(0.030, 0.50, 0, 0, 0.28, 21000, 0.31, 0.87, 0.15),
+				astrie.ProviderAmazon:    amzn(0.016, 0.02, 0.01, 0, 0.33, 27000, 0.01),
+				astrie.ProviderMicrosoft: msft(0.012, 0.38, 10000, 0.025),
+				astrie.ProviderFacebook:  fb(0.005, 0.78, 0.20, 0, 0.24, 2200),
 				// The one exception in Figure 4: Cloudflare's junk at
 				// B-Root in 2019 was comparable to the overall junk level.
 				astrie.ProviderCloudflare: cf(0.010, 0.44, 0, 0.55, 0.62, 1400),

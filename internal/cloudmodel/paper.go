@@ -11,11 +11,11 @@ import (
 
 // PaperTable2Row describes one dataset-configuration row (Table 2).
 type PaperTable2Row struct {
-	Vantage   Vantage
-	Week      Week
-	NSSet     string // e.g. "4A" = 4 anycast servers
-	Analyzed  string
-	ZoneSize  int // delegations
+	Vantage  Vantage
+	Week     Week
+	NSSet    string // e.g. "4A" = 4 anycast servers
+	Analyzed string
+	ZoneSize int // delegations
 }
 
 // PaperTable2 reproduces Table 2.

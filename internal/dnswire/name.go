@@ -92,8 +92,6 @@ type nameCompressor struct {
 	base    int
 }
 
-func newNameCompressor() *nameCompressor { return newNameCompressorAt(0) }
-
 // compressorPool recycles compressors (and their map buckets) across Pack
 // calls: steady-state packing reuses a cleared map instead of allocating a
 // fresh one per message.

@@ -122,7 +122,7 @@ func TestNameLimits(t *testing.T) {
 }
 
 func TestCompressionPointers(t *testing.T) {
-	comp := newNameCompressor()
+	comp := newNameCompressorAt(0)
 	b, err := appendName(nil, "www.example.nl.", comp)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func randomName(r *rand.Rand) string {
 }
 
 func TestPropertyNameRoundTrip(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 500}
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		name := randomName(r)
@@ -227,7 +227,7 @@ func TestPropertyNameRoundTrip(t *testing.T) {
 }
 
 func TestPropertyParentIsSubdomainInverse(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 300}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		name := randomName(r)

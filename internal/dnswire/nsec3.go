@@ -1,16 +1,15 @@
 package dnswire
 
 import (
-	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
 	"strings"
 )
 
-// NSEC3 support (RFC 5155): hashed authenticated denial of existence, the
-// scheme production signed TLDs (including .nl) actually deploy. The
-// reproduction's authoritative engine can emit NSEC3 denial instead of
-// plain NSEC, which also keeps junk names unlinkable to registered ones.
+// NSEC3 support (RFC 5155): the records of hashed authenticated denial of
+// existence, the scheme production signed TLDs (including .nl) actually
+// deploy. The codec reads and writes them as any other RDATA; the
+// reproduction's authoritative engine itself denies with plain NSEC.
 
 // TypeNSEC3 and TypeNSEC3PARAM are the RFC 5155 record types.
 const (
@@ -138,21 +137,6 @@ func parseNSEC3PARAM(rd []byte) (RData, error) {
 		Iterations: binary.BigEndian.Uint16(rd[2:]),
 		Salt:       append([]byte(nil), rd[5:5+saltLen]...),
 	}, nil
-}
-
-// NSEC3Hash computes the RFC 5155 §5 hashed owner name of name:
-// IH(salt, x, 0) = H(x || salt); IH(salt, x, k) = H(IH(salt, x, k-1) || salt).
-// The input is the name in DNS wire format (lowercased, uncompressed).
-func NSEC3Hash(name string, salt []byte, iterations uint16) ([]byte, error) {
-	wire, err := appendName(nil, name, nil)
-	if err != nil {
-		return nil, err
-	}
-	h := sha1.Sum(append(wire, salt...))
-	for i := uint16(0); i < iterations; i++ {
-		h = sha1.Sum(append(h[:], salt...))
-	}
-	return h[:], nil
 }
 
 // Base32Hex encodes with the RFC 4648 extended-hex alphabet (no padding),

@@ -257,12 +257,6 @@ type DNSKEYData struct {
 	PublicKey []byte
 }
 
-// DNSKEY flag bits.
-const (
-	DNSKEYFlagZone = 1 << 8 // ZSK/KSK indicator bit
-	DNSKEYFlagSEP  = 1      // secure entry point (KSK)
-)
-
 // Type implements RData.
 func (DNSKEYData) Type() Type { return TypeDNSKEY }
 

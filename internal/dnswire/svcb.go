@@ -23,15 +23,6 @@ func init() {
 	typeNames[TypeHTTPS] = "HTTPS"
 }
 
-// SvcParam keys defined by RFC 9460.
-const (
-	SvcParamALPN          uint16 = 1
-	SvcParamNoDefaultALPN uint16 = 2
-	SvcParamPort          uint16 = 3
-	SvcParamIPv4Hint      uint16 = 4
-	SvcParamIPv6Hint      uint16 = 6
-)
-
 // SVCBData is the shared wire form of SVCB and HTTPS records. Service
 // parameters are kept as raw key/value pairs; the codec preserves them
 // byte-exactly and enforces the RFC's strictly-increasing key order.

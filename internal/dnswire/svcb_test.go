@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// SvcParam keys defined by RFC 9460, for building test records. The codec
+// keeps parameters as raw key/value pairs and names no key itself.
+const (
+	SvcParamALPN          uint16 = 1
+	SvcParamNoDefaultALPN uint16 = 2
+	SvcParamPort          uint16 = 3
+	SvcParamIPv4Hint      uint16 = 4
+)
+
 func TestSVCBRoundTrip(t *testing.T) {
 	rrs := []RR{
 		// AliasMode HTTPS.

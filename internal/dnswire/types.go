@@ -65,17 +65,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("TYPE%d", uint16(t))
 }
 
-// ParseType maps a mnemonic back to a Type. It accepts exactly the
-// mnemonics produced by Type.String (without the TYPE<n> fallback).
-func ParseType(s string) (Type, bool) {
-	for t, name := range typeNames {
-		if name == s {
-			return t, true
-		}
-	}
-	return TypeNone, false
-}
-
 // Class is a DNS class. Only IN is used on today's Internet.
 type Class uint16
 

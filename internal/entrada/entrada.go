@@ -843,9 +843,6 @@ func (ag *Aggregates) MedianRTTs() map[rttKey]time.Duration {
 	return out
 }
 
-// RTTKey constructs the exported key type (for tests and reports).
-func RTTKey(client, server netip.Addr) rttKey { return rttKey{Client: client, Server: server} }
-
 // String summarizes the aggregates.
 func (ag *Aggregates) String() string {
 	s := fmt.Sprintf("entrada: %d queries (%.1f%% valid), %d resolvers, %d ASes, cloud share %.1f%%",

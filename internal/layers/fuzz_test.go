@@ -56,13 +56,13 @@ func FuzzChecksumVerification(f *testing.F) {
 		if v6 {
 			var ip IPv6
 			seg, err := ip.DecodeFromBytes(rest)
-			if err != nil || !VerifyUDPChecksum(ip.Src, ip.Dst, seg) {
+			if err != nil || !verifyUDPChecksum(ip.Src, ip.Dst, seg) {
 				t.Fatalf("v6 checksum: %v", err)
 			}
 		} else {
 			var ip IPv4
 			seg, err := ip.DecodeFromBytes(rest)
-			if err != nil || !VerifyUDPChecksum(ip.Src, ip.Dst, seg) {
+			if err != nil || !verifyUDPChecksum(ip.Src, ip.Dst, seg) {
 				t.Fatalf("v4 checksum: %v", err)
 			}
 		}

@@ -103,13 +103,13 @@ func TestUDPChecksumValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !VerifyUDPChecksum(ip.Src, ip.Dst, seg) {
+	if !verifyUDPChecksum(ip.Src, ip.Dst, seg) {
 		t.Error("UDP checksum does not verify")
 	}
 	// Corrupt a payload byte: checksum must fail.
 	seg2 := append([]byte(nil), seg...)
 	seg2[len(seg2)-1] ^= 0xFF
-	if VerifyUDPChecksum(ip.Src, ip.Dst, seg2) {
+	if verifyUDPChecksum(ip.Src, ip.Dst, seg2) {
 		t.Error("corrupted segment passed checksum")
 	}
 }
@@ -126,12 +126,12 @@ func TestTCPChecksumValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !VerifyTCPChecksum(ip.Src, ip.Dst, seg) {
+	if !verifyTCPChecksum(ip.Src, ip.Dst, seg) {
 		t.Error("TCP checksum does not verify")
 	}
 	seg2 := append([]byte(nil), seg...)
 	seg2[len(seg2)-2] ^= 0x01
-	if VerifyTCPChecksum(ip.Src, ip.Dst, seg2) {
+	if verifyTCPChecksum(ip.Src, ip.Dst, seg2) {
 		t.Error("corrupted segment passed checksum")
 	}
 }
@@ -251,7 +251,7 @@ func randomAddrPort(r *rand.Rand, v6 bool) netip.AddrPort {
 }
 
 func TestPropertyUDPRoundTrip(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 400}
+	cfg := &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(1))}
 	p := NewParser()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -277,7 +277,7 @@ func TestPropertyUDPRoundTrip(t *testing.T) {
 }
 
 func TestPropertyTCPChecksumAlwaysVerifies(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 300}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v6 := r.Intn(2) == 0
@@ -296,11 +296,11 @@ func TestPropertyTCPChecksumAlwaysVerifies(t *testing.T) {
 		if v6 {
 			var ip IPv6
 			seg, err := ip.DecodeFromBytes(rest)
-			return err == nil && VerifyTCPChecksum(ip.Src, ip.Dst, seg)
+			return err == nil && verifyTCPChecksum(ip.Src, ip.Dst, seg)
 		}
 		var ip IPv4
 		seg, err := ip.DecodeFromBytes(rest)
-		return err == nil && VerifyTCPChecksum(ip.Src, ip.Dst, seg)
+		return err == nil && verifyTCPChecksum(ip.Src, ip.Dst, seg)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -308,7 +308,7 @@ func TestPropertyTCPChecksumAlwaysVerifies(t *testing.T) {
 }
 
 func TestPropertyDecodeNeverPanics(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 2000}
+	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}
 	p := NewParser()
 	f := func(data []byte) bool {
 		_, _ = p.Decode(data)

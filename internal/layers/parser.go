@@ -9,11 +9,11 @@ import (
 // structs, gopacket DecodingLayerParser style: one Parser is reused across
 // packets and Decode performs no per-packet heap allocation.
 type Parser struct {
-	Eth  Ethernet
-	IP4  IPv4
-	IP6  IPv6
-	UDP  UDP
-	TCP  TCP
+	Eth Ethernet
+	IP4 IPv4
+	IP6 IPv6
+	UDP UDP
+	TCP TCP
 	// Decoded lists the layers found, in order, after a successful Decode.
 	Decoded []LayerType
 	// Payload is the innermost payload (L4 payload) after Decode.

@@ -53,21 +53,6 @@ func (u *UDP) AppendSegment(b []byte, src, dst netip.Addr, payload []byte) ([]by
 	return b, nil
 }
 
-// VerifyChecksum recomputes the checksum of a decoded UDP segment (header
-// bytes hdr, already including the stored checksum) against the
-// pseudo-header.
-func VerifyUDPChecksum(src, dst netip.Addr, segment []byte) bool {
-	if len(segment) < UDPHeaderLen {
-		return false
-	}
-	stored := binary.BigEndian.Uint16(segment[6:])
-	if stored == 0 {
-		return true // sender did not compute one (IPv4 only, but accept)
-	}
-	sum := onesComplementChecksum(segment, pseudoHeaderSum(src, dst, IPProtoUDP, len(segment)))
-	return sum == 0
-}
-
 // TCP flag bits.
 const (
 	TCPFlagFIN uint8 = 1 << 0
@@ -149,13 +134,4 @@ func (t *TCP) AppendSegment(b []byte, src, dst netip.Addr, payload []byte) ([]by
 	cs := onesComplementChecksum(b[start:], pseudoHeaderSum(src, dst, IPProtoTCP, l4len))
 	binary.BigEndian.PutUint16(b[start+16:], cs)
 	return b, nil
-}
-
-// VerifyTCPChecksum recomputes the checksum of a decoded TCP segment.
-func VerifyTCPChecksum(src, dst netip.Addr, segment []byte) bool {
-	if len(segment) < TCPHeaderLen {
-		return false
-	}
-	sum := onesComplementChecksum(segment, pseudoHeaderSum(src, dst, IPProtoTCP, len(segment)))
-	return sum == 0
 }

@@ -24,7 +24,7 @@ func TestAppendRecordMatchesWritePacket(t *testing.T) {
 	}{
 		{"micro", nil},
 		{"nano", []WriterOption{WithNanosecondResolution()}},
-		{"snaplen", []WriterOption{WithSnapLen(128)}},
+		{"snaplen", []WriterOption{withSnapLen(128)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var perPacket bytes.Buffer

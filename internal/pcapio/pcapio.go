@@ -86,11 +86,6 @@ func WithNanosecondResolution() WriterOption {
 	return func(w *Writer) { w.nanos = true }
 }
 
-// WithSnapLen overrides the advertised snapshot length.
-func WithSnapLen(n uint32) WriterOption {
-	return func(w *Writer) { w.snapLen = n }
-}
-
 // NewWriter wraps w. The file header is written lazily on the first packet
 // (or by Flush).
 func NewWriter(w io.Writer, opts ...WriterOption) *Writer {

@@ -1,9 +1,8 @@
 // Package rdns models the reverse-DNS machinery of §4.3 of the paper: PTR
-// records, the in-addr.arpa/ip6.arpa reverse names, Facebook's operational
-// PTR naming scheme (airport-coded site plus — at 12 of 13 sites — the
-// host's IPv4 address embedded even in the PTR of an IPv6 address), and
-// the dual-stack matcher that joins a resolver's IPv4 and IPv6 addresses
-// through those embedded IPv4s.
+// records, Facebook's operational PTR naming scheme (airport-coded site
+// plus — at 12 of 13 sites — the host's IPv4 address embedded even in the
+// PTR of an IPv6 address), and the dual-stack matcher that joins a
+// resolver's IPv4 and IPv6 addresses through those embedded IPv4s.
 package rdns
 
 import (
@@ -15,72 +14,6 @@ import (
 
 	"dnscentral/internal/dnswire"
 )
-
-// ReverseName builds the in-addr.arpa (IPv4) or ip6.arpa (IPv6) name whose
-// PTR record names the host (RFC 1035 §3.5, RFC 3596 §2.5).
-func ReverseName(addr netip.Addr) string {
-	addr = addr.Unmap()
-	if addr.Is4() {
-		b := addr.As4()
-		return fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa.", b[3], b[2], b[1], b[0])
-	}
-	b := addr.As16()
-	var sb strings.Builder
-	const hexdigits = "0123456789abcdef"
-	for i := 15; i >= 0; i-- {
-		sb.WriteByte(hexdigits[b[i]&0xF])
-		sb.WriteByte('.')
-		sb.WriteByte(hexdigits[b[i]>>4])
-		sb.WriteByte('.')
-	}
-	sb.WriteString("ip6.arpa.")
-	return sb.String()
-}
-
-// ParseReverseName inverts ReverseName.
-func ParseReverseName(name string) (netip.Addr, bool) {
-	name = dnswire.CanonicalName(name)
-	if strings.HasSuffix(name, ".in-addr.arpa.") {
-		parts := strings.Split(strings.TrimSuffix(name, ".in-addr.arpa."), ".")
-		if len(parts) != 4 {
-			return netip.Addr{}, false
-		}
-		var b [4]byte
-		for i, p := range parts {
-			var v int
-			if _, err := fmt.Sscanf(p, "%d", &v); err != nil || v < 0 || v > 255 {
-				return netip.Addr{}, false
-			}
-			b[3-i] = byte(v)
-		}
-		return netip.AddrFrom4(b), true
-	}
-	if strings.HasSuffix(name, ".ip6.arpa.") {
-		parts := strings.Split(strings.TrimSuffix(name, ".ip6.arpa."), ".")
-		if len(parts) != 32 {
-			return netip.Addr{}, false
-		}
-		var b [16]byte
-		for i, p := range parts {
-			if len(p) != 1 {
-				return netip.Addr{}, false
-			}
-			v := strings.IndexByte("0123456789abcdef", p[0])
-			if v < 0 {
-				return netip.Addr{}, false
-			}
-			// parts[0] is the lowest nibble of the last byte.
-			byteIdx := 15 - i/2
-			if i%2 == 0 {
-				b[byteIdx] |= byte(v)
-			} else {
-				b[byteIdx] |= byte(v) << 4
-			}
-		}
-		return netip.AddrFrom16(b), true
-	}
-	return netip.Addr{}, false
-}
 
 // DB is a PTR database: address → host name. Safe for concurrent use.
 type DB struct {
@@ -184,10 +117,10 @@ type DualStack struct {
 // PTR target of every address that queried, join addresses whose PTR
 // embeds the same IPv4.
 type Matcher struct {
-	mu      sync.Mutex
-	byKey   map[netip.Addr]*DualStack
-	noPTR   int
-	nonFB   int
+	mu       sync.Mutex
+	byKey    map[netip.Addr]*DualStack
+	noPTR    int
+	nonFB    int
 	observed int
 }
 

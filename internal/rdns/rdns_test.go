@@ -1,63 +1,9 @@
 package rdns
 
 import (
-	"math/rand"
 	"net/netip"
 	"testing"
-	"testing/quick"
 )
-
-func TestReverseNameV4(t *testing.T) {
-	got := ReverseName(netip.MustParseAddr("192.0.2.17"))
-	if got != "17.2.0.192.in-addr.arpa." {
-		t.Errorf("got %q", got)
-	}
-}
-
-func TestReverseNameV6(t *testing.T) {
-	got := ReverseName(netip.MustParseAddr("2001:db8::567:89ab"))
-	want := "b.a.9.8.7.6.5.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.8.b.d.0.1.0.0.2.ip6.arpa."
-	if got != want {
-		t.Errorf("got  %q\nwant %q", got, want)
-	}
-}
-
-func TestParseReverseNameRejectsGarbage(t *testing.T) {
-	bad := []string{
-		"example.com.",
-		"1.2.3.in-addr.arpa.",
-		"256.2.0.192.in-addr.arpa.",
-		"x.2.0.192.in-addr.arpa.",
-		"1.2.ip6.arpa.",
-		"zz.ip6.arpa.",
-	}
-	for _, name := range bad {
-		if _, ok := ParseReverseName(name); ok {
-			t.Errorf("parsed %q", name)
-		}
-	}
-}
-
-func TestPropertyReverseNameRoundTrip(t *testing.T) {
-	f := func(seed int64, v6 bool) bool {
-		r := rand.New(rand.NewSource(seed))
-		var addr netip.Addr
-		if v6 {
-			var b [16]byte
-			r.Read(b[:])
-			addr = netip.AddrFrom16(b)
-		} else {
-			var b [4]byte
-			r.Read(b[:])
-			addr = netip.AddrFrom4(b)
-		}
-		got, ok := ParseReverseName(ReverseName(addr))
-		return ok && got == addr
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestDB(t *testing.T) {
 	db := NewDB()

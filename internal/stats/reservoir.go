@@ -64,9 +64,6 @@ func reservoirValue(i int32) time.Duration {
 // quantiles stay comparable with reservoir medians.
 func DurationBucket(d time.Duration) int32 { return reservoirBucket(d) }
 
-// DurationBucketValue returns the representative duration of bucket i.
-func DurationBucketValue(i int32) time.Duration { return reservoirValue(i) }
-
 // DurationBucketUpper returns the exclusive upper bound of bucket i,
 // usable as a Prometheus histogram `le` boundary.
 func DurationBucketUpper(i int32) time.Duration {
@@ -146,9 +143,9 @@ func (r *DurationReservoir) Clone() *DurationReservoir {
 	return c
 }
 
-// Median returns the sketched median, mirroring MedianDurations semantics
-// on the bucket representatives: the middle sample for odd counts, the
-// mean of the two middle samples for even counts. Zero if empty.
+// Median returns the sketched median over the bucket representatives: the
+// middle sample for odd counts, the mean of the two middle samples for even
+// counts. Zero if empty.
 func (r *DurationReservoir) Median() time.Duration {
 	if r == nil || r.total == 0 {
 		return 0

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -19,7 +20,7 @@ func TestReservoirMedianWithinTolerance(t *testing.T) {
 			samples[i] = d
 			r.Observe(d)
 		}
-		exact := MedianDurations(samples)
+		exact := exactMedian(samples)
 		got := r.Median()
 		relerr := math.Abs(float64(got)-float64(exact)) / float64(exact)
 		// Gamma 1.01 bounds per-sample error by ~0.5%; the even-count
@@ -31,6 +32,18 @@ func TestReservoirMedianWithinTolerance(t *testing.T) {
 			t.Errorf("n=%d: Count = %d", n, r.Count())
 		}
 	}
+}
+
+// exactMedian is the oracle for DurationReservoir.Median: the central
+// sample, or the mean of the two central samples for an even count.
+func exactMedian(ds []time.Duration) time.Duration {
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func TestReservoirEmptyAndNil(t *testing.T) {

@@ -9,59 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 )
-
-// Median returns the median of xs (mean of the two central elements for
-// even lengths). It returns 0 for an empty slice. xs is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// MedianDurations returns the median of ds.
-func MedianDurations(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = float64(d)
-	}
-	return time.Duration(Median(xs))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	if p <= 0 {
-		return tmp[0]
-	}
-	if p >= 100 {
-		return tmp[len(tmp)-1]
-	}
-	rank := p / 100 * float64(len(tmp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return tmp[lo]
-	}
-	frac := rank - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac
-}
 
 // CDFPoint is one step of an empirical CDF.
 type CDFPoint struct {
@@ -69,28 +17,7 @@ type CDFPoint struct {
 	Fraction float64 // P(X <= Value)
 }
 
-// CDF computes the empirical CDF of xs as a step function with one point
-// per distinct value. The final point always has Fraction 1.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	var out []CDFPoint
-	n := float64(len(tmp))
-	for i := 0; i < len(tmp); {
-		j := i
-		for j < len(tmp) && tmp[j] == tmp[i] {
-			j++
-		}
-		out = append(out, CDFPoint{Value: tmp[i], Fraction: float64(j) / n})
-		i = j
-	}
-	return out
-}
-
-// CDFAt evaluates an empirical CDF (as returned by CDF) at v.
+// CDFAt evaluates an empirical CDF (as returned by Histogram.CDF) at v.
 func CDFAt(cdf []CDFPoint, v float64) float64 {
 	// Binary search for the last point with Value <= v.
 	lo, hi := 0, len(cdf)

@@ -327,7 +327,6 @@ func newGroundTruth() *GroundTruth {
 	}
 }
 
-
 // Merge folds the counts of another shard's ground truth into gt. All
 // fields are order-insensitive sums or set unions, so merging per-shard
 // truths yields the same totals regardless of sharding.

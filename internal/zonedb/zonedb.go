@@ -32,8 +32,8 @@ type Zone struct {
 	// (the NS set of the apex).
 	ServerNames []string
 
-	numSecond int
-	numThird  int
+	numSecond  int
+	numThird   int
 	categories []string
 
 	signedFraction float64
@@ -41,7 +41,7 @@ type Zone struct {
 	dnskey         dnswire.DNSKEYData
 
 	// root-only: delegated TLD labels.
-	tlds map[string]bool
+	tlds    map[string]bool
 	tldList []string
 
 	// leaf marks a second-level (registrant) zone that answers with
@@ -150,9 +150,9 @@ func NewRoot(tlds []string, serverNames []string) (*Zone, error) {
 		return nil, fmt.Errorf("zonedb: zone needs at least one server name")
 	}
 	z := &Zone{
-		Origin:      ".",
-		ServerNames: canonicalAll(serverNames),
-		tlds:        make(map[string]bool, len(tlds)),
+		Origin:         ".",
+		ServerNames:    canonicalAll(serverNames),
+		tlds:           make(map[string]bool, len(tlds)),
 		signedFraction: 1, // the root and TLD DSes are fully signed
 		soa: dnswire.SOAData{
 			MName: serverNames[0], RName: "nstld.verisign-grs.com.",

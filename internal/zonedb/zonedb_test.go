@@ -272,7 +272,7 @@ func TestApexRecords(t *testing.T) {
 // identity for every zone shape.
 func TestPropertyEveryRankRoundTrips(t *testing.T) {
 	nl, nz, root := newNL(t), newNZ(t), newRoot(t)
-	cfg := &quick.Config{MaxCount: 300}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
 	for _, z := range []*Zone{nl, nz, root} {
 		z := z
 		f := func(seed int64) bool {
