@@ -211,6 +211,59 @@ func TestCLIAllMalformedExit(t *testing.T) {
 	}
 }
 
+// TestCLIDnsdump drives dnsdump over a small dnstracegen trace: -n caps
+// the message lines, -tcp and -provider keep only matching lines, and a
+// missing -in exits 2.
+func TestCLIDnsdump(t *testing.T) {
+	bins := buildTools(t, "dnstracegen", "dnsdump")
+	pcap := filepath.Join(t.TempDir(), "nl.pcap")
+	runTool(t, bins["dnstracegen"], "-vantage", "nl", "-week", "w2020",
+		"-queries", "2000", "-scale", "0.002", "-seed", "5", "-out", pcap)
+	// dump returns each printed line split into fields: time, provider,
+	// transport, then the message.
+	dump := func(args ...string) [][]string {
+		t.Helper()
+		out := runTool(t, bins["dnsdump"], append([]string{"-in", pcap}, args...)...)
+		var lines [][]string
+		for _, l := range strings.Split(strings.TrimSpace(out), "\n") {
+			f := strings.Fields(l)
+			if len(f) < 4 {
+				t.Fatalf("dnsdump %v: short line %q", args, l)
+			}
+			lines = append(lines, f)
+		}
+		return lines
+	}
+	if got := dump("-n", "5"); len(got) != 5 {
+		t.Errorf("-n 5 printed %d lines, want 5", len(got))
+	}
+	for _, c := range []struct {
+		args  []string
+		field int
+		want  string
+	}{
+		{[]string{"-tcp"}, 2, "tcp"},
+		{[]string{"-provider", "Google"}, 1, "Google"},
+	} {
+		got := dump(c.args...)
+		for _, f := range got {
+			if f[c.field] != c.want {
+				t.Fatalf("dnsdump %v printed %q", c.args, strings.Join(f, " "))
+			}
+		}
+		t.Logf("dnsdump %v: %d lines", c.args, len(got))
+	}
+
+	out, err := exec.Command(bins["dnsdump"]).CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+		t.Fatalf("dnsdump without -in: err = %v, want exit code 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-in is required") {
+		t.Errorf("dnsdump without -in:\n%s", out)
+	}
+}
+
 // TestCLILiveServerAndResolver starts the real authserver binary and
 // points resolversim at it over loopback sockets.
 func TestCLILiveServerAndResolver(t *testing.T) {

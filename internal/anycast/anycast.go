@@ -16,7 +16,6 @@ import (
 	"hash/fnv"
 	"math"
 	"net/netip"
-	"sort"
 	"time"
 )
 
@@ -45,9 +44,6 @@ func NewDeployment(sites []Site) (*Deployment, error) {
 	}
 	return &Deployment{sites: append([]Site(nil), sites...)}, nil
 }
-
-// Sites returns the deployment's sites.
-func (d *Deployment) Sites() []Site { return d.sites }
 
 // earthRadiusKm is the mean Earth radius.
 const earthRadiusKm = 6371.0
@@ -119,39 +115,6 @@ func jitter(addr netip.Addr, site string) time.Duration {
 	_, _ = h.Write(b[:])
 	_, _ = h.Write([]byte(site))
 	return time.Duration(h.Sum32()%15) * time.Millisecond
-}
-
-// CatchmentShare computes the fraction of a synthetic client population
-// landing at each site — the skew behind "location 1 dominates" in
-// Figure 5a.
-func (d *Deployment) CatchmentShare(clients []netip.Addr) []float64 {
-	counts := make([]int, len(d.sites))
-	for _, a := range clients {
-		i, _ := d.Catch(a)
-		counts[i]++
-	}
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c) / float64(len(clients))
-	}
-	return out
-}
-
-// MedianRTT computes the median catchment RTT over a client population —
-// the metric that improves as a deployment adds sites (the paper's §3:
-// B-Root "increased its number of anycast sites, increasing its global
-// footprint and attracting more traffic from additional nearby
-// resolvers").
-func (d *Deployment) MedianRTT(clients []netip.Addr) time.Duration {
-	if len(clients) == 0 {
-		return 0
-	}
-	rtts := make([]time.Duration, len(clients))
-	for i, a := range clients {
-		_, rtts[i] = d.Catch(a)
-	}
-	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
-	return rtts[len(rtts)/2]
 }
 
 // BRootDeployments models B-Root's growing site set across the paper's

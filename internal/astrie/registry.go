@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"slices"
 )
 
 // Provider identifies one of the paper's five cloud/content providers, or
@@ -56,11 +55,6 @@ var ProviderASNs = map[Provider][]uint32{
 	ProviderCloudflare: {13335},
 }
 
-// RunsPublicDNS reproduces Table 1's "Public DNS?" column.
-func (p Provider) RunsPublicDNS() bool {
-	return p == ProviderGoogle || p == ProviderCloudflare
-}
-
 // ASInfo describes one autonomous system in the registry.
 type ASInfo struct {
 	ASN      uint32
@@ -88,7 +82,6 @@ type Registry struct {
 	trie     Trie
 	table1   []providerAS // ordinals 0 … len-1
 	longTail int          // ordinals len(table1) … len(table1)+longTail-1
-	asns     []uint32     // ascending, for deterministic iteration
 }
 
 // providerAS is one Table-1 row.
@@ -124,7 +117,6 @@ func NewRegistry(longTail int) *Registry {
 		v6Nodes := 2 + (n+65535)/65536 + (n+255)/256
 		r.trie.reserve(1<<rootBits[0] + v6Nodes*nodeSlots)
 	}
-	r.asns = make([]uint32, n)
 	for o := range n {
 		v4, v6 := prefixesOf(o)
 		if err := r.trie.Insert(v4, uint32(o)); err != nil {
@@ -133,9 +125,7 @@ func NewRegistry(longTail int) *Registry {
 		if err := r.trie.Insert(v6, uint32(o)); err != nil {
 			panic(err)
 		}
-		r.asns[o] = r.asnOf(o)
 	}
-	slices.Sort(r.asns)
 	return r
 }
 
@@ -239,14 +229,6 @@ func (r *Registry) LookupAddr(a netip.Addr) (uint32, bool) {
 // address matches no registered prefix or a long-tail AS).
 func (r *Registry) ProviderOf(a netip.Addr) Provider { return r.Classify(a).Provider }
 
-// ProviderOfASN classifies an ASN into a provider.
-func (r *Registry) ProviderOfASN(asn uint32) Provider {
-	if o, ok := r.ordinalOf(asn); ok {
-		return r.providerAt(o)
-	}
-	return ProviderOther
-}
-
 // Info returns the registry entry for asn, derived afresh on every call.
 func (r *Registry) Info(asn uint32) (*ASInfo, bool) {
 	o, ok := r.ordinalOf(asn)
@@ -261,9 +243,6 @@ func (r *Registry) Info(asn uint32) (*ASInfo, bool) {
 	v4, v6 := prefixesOf(o)
 	return &ASInfo{ASN: asn, Name: name, Provider: p, V4: v4, V6: v6}, true
 }
-
-// ASNs returns all registered ASNs in ascending order.
-func (r *Registry) ASNs() []uint32 { return r.asns }
 
 // NumASes returns the number of registered ASes.
 func (r *Registry) NumASes() int { return len(r.table1) + r.longTail }

@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -40,15 +39,14 @@ func TestProviderASNsMatchTable1(t *testing.T) {
 	}
 }
 
-func TestPublicDNSColumn(t *testing.T) {
-	if !ProviderGoogle.RunsPublicDNS() || !ProviderCloudflare.RunsPublicDNS() {
-		t.Error("Google and Cloudflare run public DNS per Table 1")
+// registeredASNs returns every ASN reg registers, in ascending order.
+func registeredASNs(reg *Registry) []uint32 {
+	asns := make([]uint32, reg.NumASes())
+	for o := range asns {
+		asns[o] = reg.asnOf(o)
 	}
-	for _, p := range []Provider{ProviderAmazon, ProviderMicrosoft, ProviderFacebook} {
-		if p.RunsPublicDNS() {
-			t.Errorf("%s should not run public DNS per Table 1", p)
-		}
-	}
+	slices.Sort(asns)
+	return asns
 }
 
 func TestRegistryClassification(t *testing.T) {
@@ -85,11 +83,11 @@ func TestLongTailIsOther(t *testing.T) {
 	if p := reg.ProviderOf(a); p != ProviderOther {
 		t.Errorf("long tail classified as %s", p)
 	}
-	if p := reg.ProviderOfASN(asn); p != ProviderOther {
-		t.Errorf("ProviderOfASN = %s", p)
+	if info, ok := reg.Info(asn); !ok || info.Provider != ProviderOther {
+		t.Errorf("Info(%d) = %+v, %v", asn, info, ok)
 	}
-	if p := reg.ProviderOfASN(999999); p != ProviderOther {
-		t.Errorf("unknown ASN = %s", p)
+	if _, ok := reg.Info(999999); ok {
+		t.Error("unknown ASN has an entry")
 	}
 }
 
@@ -153,7 +151,7 @@ func TestResolverAddrLimits(t *testing.T) {
 func TestRegistryDeterministic(t *testing.T) {
 	a := NewRegistry(500)
 	b := NewRegistry(500)
-	for _, asn := range a.ASNs() {
+	for _, asn := range registeredASNs(a) {
 		ia, _ := a.Info(asn)
 		ib, ok := b.Info(asn)
 		if !ok || ia.V4 != ib.V4 || ia.V6 != ib.V6 || ia.Provider != ib.Provider {
@@ -170,7 +168,7 @@ func TestRegistryScalesToPaperSize(t *testing.T) {
 	}
 	// All allocations must be unique.
 	seen4 := make(map[netip.Prefix]uint32)
-	for _, asn := range reg.ASNs() {
+	for _, asn := range registeredASNs(reg) {
 		info, _ := reg.Info(asn)
 		if prev, dup := seen4[info.V4]; dup {
 			t.Fatalf("AS%d and AS%d share v4 prefix %v", prev, asn, info.V4)
@@ -214,16 +212,12 @@ func TestRegistryRoundTripEveryOrdinal(t *testing.T) {
 	if reg.NumASes() != MaxASes {
 		t.Fatalf("NumASes = %d, want %d", reg.NumASes(), MaxASes)
 	}
-	var want []uint32
 	ordinal := 0
 	check := func(asn uint32, p Provider) {
 		t.Helper()
 		info, ok := reg.Info(asn)
 		if !ok || *info != legacyInfo(ordinal, asn, p) {
 			t.Fatalf("Info(%d) = %+v, %v; want %+v", asn, info, ok, legacyInfo(ordinal, asn, p))
-		}
-		if got := reg.ProviderOfASN(asn); got != p {
-			t.Fatalf("ProviderOfASN(%d) = %s, want %s", asn, got, p)
 		}
 		for _, v6 := range []bool{false, true} {
 			for _, public := range []bool{false, true} {
@@ -260,7 +254,6 @@ func TestRegistryRoundTripEveryOrdinal(t *testing.T) {
 				}
 			}
 		}
-		want = append(want, asn)
 		ordinal++
 	}
 	for _, p := range CloudProviders {
@@ -270,10 +263,6 @@ func TestRegistryRoundTripEveryOrdinal(t *testing.T) {
 	}
 	for i := 0; i < MaxASes-20; i++ {
 		check(LongTailASNBase+uint32(i), ProviderOther)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if !slices.Equal(reg.ASNs(), want) {
-		t.Fatal("ASNs() is not every registered ASN in ascending order")
 	}
 	for _, a := range []string{"10.0.0.1", "0.0.0.0", "224.0.0.1", "2a00:d800::1", "2001:db8::1", "::"} {
 		addr := netip.MustParseAddr(a)
@@ -288,7 +277,7 @@ func TestRegistryRoundTripEveryOrdinal(t *testing.T) {
 
 // TestNewRegistryCompact pins the registry's footprint: a fixed number of
 // allocations however many ASes it holds, and a small live heap. A normal
-// build makes 6; a race-detector build makes a few more temporaries.
+// build makes 5; a race-detector build makes a few more temporaries.
 func TestNewRegistryCompact(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { NewRegistry(MaxASes - 20) })
 	if allocs > 16 {
@@ -318,13 +307,14 @@ func TestRegistryConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i, asn := range reg.ASNs() {
+			for i, asn := range registeredASNs(reg) {
 				a, err := reg.ResolverAddr(asn, (i+g)%2 == 0, false, uint32(g))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if c := reg.Classify(a); c.ASN != asn || c.Provider != reg.ProviderOfASN(asn) {
+				o, _ := reg.ordinalOf(asn)
+				if c := reg.Classify(a); c.ASN != asn || c.Provider != reg.providerAt(o) {
 					t.Errorf("Classify(%s) = %+v, want AS%d", a, c, asn)
 					return
 				}
@@ -343,7 +333,7 @@ func BenchmarkNewRegistry(b *testing.B) {
 
 func BenchmarkRegistryClassify(b *testing.B) {
 	reg := NewRegistry(MaxASes - 20)
-	asns := reg.ASNs()
+	asns := registeredASNs(reg)
 	addrs := make([]netip.Addr, 4096)
 	for i := range addrs {
 		a, err := reg.ResolverAddr(asns[(i*7919)%len(asns)], i%4 == 0, i%8 == 0, uint32(i))

@@ -181,9 +181,10 @@ func TestPropertyTrieMatchesLinearScan(t *testing.T) {
 
 func BenchmarkTrieLookup(b *testing.B) {
 	reg := NewRegistry(40000)
+	asns := registeredASNs(reg)
 	addrs := make([]netip.Addr, 1024)
 	for i := range addrs {
-		asn := reg.ASNs()[i%reg.NumASes()]
+		asn := asns[i%len(asns)]
 		a, err := reg.ResolverAddr(asn, i%2 == 0, false, uint32(i))
 		if err != nil {
 			b.Fatal(err)

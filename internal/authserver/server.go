@@ -169,12 +169,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// TCPRejected counts connections turned away by the MaxTCPConns cap.
-func (s *Server) TCPRejected() uint64 { return s.tcpRejected.Load() }
-
-// Panics counts handler panics recovered instead of crashing the server.
-func (s *Server) Panics() uint64 { return s.panics.Load() }
-
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)

@@ -281,7 +281,7 @@ func TestServerTCPConnCap(t *testing.T) {
 	if _, err := ReadTCPMessage(extra); err == nil {
 		t.Fatal("over-cap connection was served")
 	}
-	if got := s.TCPRejected(); got != 1 {
+	if got := s.tcpRejected.Load(); got != 1 {
 		t.Errorf("TCPRejected = %d, want 1", got)
 	}
 }
@@ -320,7 +320,7 @@ func TestServerRecoversHandlerPanic(t *testing.T) {
 	if resp := s.handleUDPPacket(0, out, netip.MustParseAddrPort("192.0.2.1:5353"), nil); resp != nil {
 		t.Errorf("panicking handler returned a response")
 	}
-	if got := s.Panics(); got != 1 {
+	if got := s.panics.Load(); got != 1 {
 		t.Errorf("Panics = %d, want 1", got)
 	}
 }

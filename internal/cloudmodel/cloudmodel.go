@@ -124,15 +124,6 @@ type VantageWeek struct {
 	Providers map[astrie.Provider]Profile
 }
 
-// CloudShare sums the provider shares (Figure 1's stacked total).
-func (vw *VantageWeek) CloudShare() float64 {
-	sum := 0.0
-	for _, p := range vw.Providers {
-		sum += p.Share
-	}
-	return sum
-}
-
 // Get returns the model for a vantage/week pair.
 func Get(v Vantage, w Week) (*VantageWeek, error) {
 	vw, ok := Model[v][w]

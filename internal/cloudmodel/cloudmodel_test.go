@@ -8,6 +8,15 @@ import (
 	"dnscentral/internal/astrie"
 )
 
+// CloudShare sums the provider shares (Figure 1's stacked total).
+func (vw *VantageWeek) CloudShare() float64 {
+	sum := 0.0
+	for _, p := range vw.Providers {
+		sum += p.Share
+	}
+	return sum
+}
+
 func TestModelCoversAllVantagesAndWeeks(t *testing.T) {
 	for _, v := range Vantages {
 		for _, w := range Weeks {

@@ -200,16 +200,11 @@ func (m *Message) AppendPack(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// PackTruncated serializes m but guarantees the result fits within limit
-// bytes, dropping whole records back-to-front (additional, authority, then
-// answers) and setting TC when anything was dropped (RFC 2181 §9 spirit).
-// The question section is never dropped.
-func (m *Message) PackTruncated(limit int) ([]byte, error) {
-	return m.AppendPackTruncated(make([]byte, 0, 128), limit)
-}
-
-// AppendPackTruncated is PackTruncated appending to b: the common
-// fits-within-limit case performs no allocation beyond growing b.
+// AppendPackTruncated appends m to b but guarantees the appended message
+// fits within limit bytes, dropping whole records back-to-front
+// (additional, authority, then answers) and setting TC when anything was
+// dropped (RFC 2181 §9 spirit). The question section is never dropped. The
+// common fits-within-limit case performs no allocation beyond growing b.
 func (m *Message) AppendPackTruncated(b []byte, limit int) ([]byte, error) {
 	if limit < HeaderLen {
 		return nil, fmt.Errorf("dnswire: truncation limit %d below header size", limit)

@@ -332,18 +332,6 @@ func TestExtendedRCode(t *testing.T) {
 	}
 }
 
-func TestDNSKEYKeyTagDeterministic(t *testing.T) {
-	k := DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 13, PublicKey: []byte("somekeymaterial")}
-	if k.KeyTag() != k.KeyTag() {
-		t.Error("key tag not deterministic")
-	}
-	k2 := k
-	k2.PublicKey = []byte("otherkeymaterial")
-	if k.KeyTag() == k2.KeyTag() {
-		t.Error("different keys produced same tag (unlikely)")
-	}
-}
-
 // randomMessage builds a structurally valid random message for fuzz-ish
 // round-trip checking.
 func randomMessage(r *rand.Rand) *Message {

@@ -271,21 +271,6 @@ func (d DNSKEYData) String() string {
 	return fmt.Sprintf("%d %d %d (%d-byte key)", d.Flags, d.Protocol, d.Algorithm, len(d.PublicKey))
 }
 
-// KeyTag computes the RFC 4034 Appendix B key tag over the DNSKEY RDATA.
-func (d DNSKEYData) KeyTag() uint16 {
-	wire, _ := d.appendTo(nil, nil)
-	var ac uint32
-	for i, b := range wire {
-		if i&1 == 1 {
-			ac += uint32(b)
-		} else {
-			ac += uint32(b) << 8
-		}
-	}
-	ac += ac >> 16 & 0xFFFF
-	return uint16(ac)
-}
-
 // RRSIGData is a signature over an RRSet (RFC 4034 §3).
 type RRSIGData struct {
 	TypeCovered Type

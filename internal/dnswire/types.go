@@ -7,7 +7,7 @@
 // The codec is allocation-conscious but favors clarity: Message values are
 // plain structs that can be built by hand, packed with Pack or PackBuffer,
 // and parsed back with Unpack. Truncation to a UDP payload budget is
-// supported via PackTruncated, which implements the RFC 2181 rule of
+// supported via AppendPackTruncated, which implements the RFC 2181 rule of
 // dropping whole RRSets and setting TC.
 package dnswire
 

@@ -86,23 +86,8 @@ func (v *View) Response() bool { return v.flags()&(1<<15) != 0 }
 // Opcode returns the 4-bit opcode.
 func (v *View) Opcode() Opcode { return Opcode(v.flags() >> 11 & 0xF) }
 
-// Authoritative reports the AA bit.
-func (v *View) Authoritative() bool { return v.flags()&(1<<10) != 0 }
-
 // Truncated reports the TC bit.
 func (v *View) Truncated() bool { return v.flags()&(1<<9) != 0 }
-
-// RecursionDesired reports the RD bit.
-func (v *View) RecursionDesired() bool { return v.flags()&(1<<8) != 0 }
-
-// RecursionAvailable reports the RA bit.
-func (v *View) RecursionAvailable() bool { return v.flags()&(1<<7) != 0 }
-
-// AuthenticData reports the AD bit.
-func (v *View) AuthenticData() bool { return v.flags()&(1<<5) != 0 }
-
-// CheckingDisabled reports the CD bit.
-func (v *View) CheckingDisabled() bool { return v.flags()&(1<<4) != 0 }
 
 // RCode returns the low 4 RCODE bits from the header only; use FullRCode
 // for the extended-RCODE view Unpack exposes.

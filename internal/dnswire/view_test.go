@@ -18,8 +18,8 @@ func TestViewQueryFields(t *testing.T) {
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if v.ID() != 0xBEEF || v.Response() || !v.RecursionDesired() {
-		t.Fatalf("header fields: id=%#x qr=%v rd=%v", v.ID(), v.Response(), v.RecursionDesired())
+	if rd := unpackFlags(v.flags()).RecursionDesired; v.ID() != 0xBEEF || v.Response() || !rd {
+		t.Fatalf("header fields: id=%#x qr=%v rd=%v", v.ID(), v.Response(), rd)
 	}
 	if v.QDCount() != 1 || v.ARCount() != 1 {
 		t.Fatalf("counts: qd=%d ar=%d", v.QDCount(), v.ARCount())

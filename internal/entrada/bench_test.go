@@ -91,7 +91,13 @@ func udpPairs(tb testing.TB, client func(i int) netip.Addr) ([]udpPair, int) {
 // long-tail and unregistered sources alike.
 func TestAnalyzerUDPPairZeroAllocs(t *testing.T) {
 	reg := astrie.NewRegistry(100)
-	asns := reg.ASNs()
+	var asns []uint32
+	for _, p := range astrie.CloudProviders {
+		asns = append(asns, astrie.ProviderASNs[p]...)
+	}
+	for i := range 100 {
+		asns = append(asns, astrie.LongTailASNBase+uint32(i))
+	}
 	pairs, _ := udpPairs(t, func(i int) netip.Addr {
 		if i%16 == 0 {
 			return netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})

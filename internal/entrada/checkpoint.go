@@ -49,8 +49,6 @@ type aggState struct {
 	Focus           []focusState    `json:"focus,omitempty"`
 	RTTs            []rttState      `json:"rtts,omitempty"`
 	Hourly          []int64Count    `json:"hourly,omitempty"`
-	RCodes          []uint16Count   `json:"rcodes,omitempty"`
-	UDPResponses    uint64          `json:"udp_responses,omitempty"`
 	TCPResponses    uint64          `json:"tcp_responses,omitempty"`
 	DroppedSegments uint64          `json:"dropped_segments,omitempty"`
 }
@@ -213,7 +211,6 @@ func (a *Analyzer) MarshalState() ([]byte, error) {
 		Total:           ag.Total,
 		Valid:           ag.Valid,
 		AllResolvers:    a.allResolvers.of(ag.AllResolvers),
-		UDPResponses:    ag.UDPResponses,
 		TCPResponses:    ag.TCPResponses,
 		DroppedSegments: ag.DroppedSegments,
 	}
@@ -284,11 +281,6 @@ func (a *Analyzer) MarshalState() ([]byte, error) {
 		st.Agg.Hourly = append(st.Agg.Hourly, int64Count{K: h, N: n})
 	}
 	sort.Slice(st.Agg.Hourly, func(i, j int) bool { return st.Agg.Hourly[i].K < st.Agg.Hourly[j].K })
-
-	for rc, n := range ag.RCodes {
-		st.Agg.RCodes = append(st.Agg.RCodes, uint16Count{K: uint16(rc), N: n})
-	}
-	sort.Slice(st.Agg.RCodes, func(i, j int) bool { return st.Agg.RCodes[i].K < st.Agg.RCodes[j].K })
 
 	for k, pq := range a.pending {
 		src := &a.sources[pq.src]
@@ -406,7 +398,6 @@ func RestoreAnalyzer(reg *astrie.Registry, data []byte) (*Analyzer, error) {
 	ag := a.agg
 	ag.Total = st.Agg.Total
 	ag.Valid = st.Agg.Valid
-	ag.UDPResponses = st.Agg.UDPResponses
 	ag.TCPResponses = st.Agg.TCPResponses
 	ag.DroppedSegments = st.Agg.DroppedSegments
 	for _, ps := range st.Agg.Providers {
@@ -471,9 +462,6 @@ func RestoreAnalyzer(reg *astrie.Registry, data []byte) (*Analyzer, error) {
 	}
 	for _, hc := range st.Agg.Hourly {
 		ag.Hourly[hc.K] = hc.N
-	}
-	for _, rc := range st.Agg.RCodes {
-		ag.RCodes[dnswire.RCode(rc.K)] = rc.N
 	}
 
 	for _, ps := range st.Pending {

@@ -43,7 +43,7 @@ func readAll(t *testing.T, blob []byte) []pcapio.Packet {
 		t.Fatal(err)
 	}
 	var pkts []pcapio.Packet
-	err = r.ForEach(func(p pcapio.Packet) error {
+	err = pcapio.ForEachPacket(r, func(p pcapio.Packet) error {
 		pkts = append(pkts, pcapio.Packet{
 			Timestamp: p.Timestamp,
 			Data:      append([]byte(nil), p.Data...),
@@ -205,16 +205,19 @@ func TestCheckpointGolden(t *testing.T) {
 	}
 
 	sum := sha256.Sum256(state)
-	const want = "73025e322384eb7eec34a4ecf11a0a4a08d8181f25ea6947f53aeeb68f326450"
+	const want = "ce4dbb6f96cef56ee52b0a5565cea984bba53e94ead619be158e1366df7f02fc"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("checkpoint encoding SHA-256 = %s, want %s\n(format drift: if intentional, bump CheckpointVersion and re-pin)", got, want)
 	}
 }
 
 // TestCheckpointLegacyEagerField: checkpoints once recorded the analyzer's
-// decoder choice as "eager":true. The field is gone, and a checkpoint that
-// still carries it must restore to the same analyzer as one without it:
-// the same state bytes on re-marshal and the same final report.
+// decoder choice as "eager":true, and the aggregates once carried
+// per-RCODE response counts ("rcodes") and a UDP response count
+// ("udp_responses") that no report read. Those fields are gone, and a
+// checkpoint that still carries them must restore to the same analyzer as
+// one without them: the same state bytes on re-marshal and the same final
+// report.
 func TestCheckpointLegacyEagerField(t *testing.T) {
 	blob, g := checkpointCapture(t)
 	reg := g.Registry()
@@ -234,9 +237,17 @@ func TestCheckpointLegacyEagerField(t *testing.T) {
 		t.Fatalf("checkpoint does not start with %s: %.40s", prefix, state)
 	}
 	legacy := append([]byte(`{"version":1,"eager":true,`), state[len(prefix):]...)
+	// The fields sat just before "tcp_responses", with these values at
+	// this cut, so the row is byte for byte what the older build wrote.
+	tcp := []byte(`"tcp_responses":`)
+	if bytes.Count(state, tcp) != 1 {
+		t.Fatalf("checkpoint has %d %s keys, want 1", bytes.Count(state, tcp), tcp)
+	}
+	rcodes := bytes.Replace(state, tcp,
+		[]byte(`"rcodes":[{"k":0,"n":1800},{"k":3,"n":254}],"udp_responses":1996,"tcp_responses":`), 1)
 
 	var reports [][]byte
-	for _, ck := range [][]byte{state, legacy} {
+	for _, ck := range [][]byte{state, legacy, rcodes} {
 		restored, err := RestoreAnalyzer(reg, ck)
 		if err != nil {
 			t.Fatal(err)
@@ -255,6 +266,9 @@ func TestCheckpointLegacyEagerField(t *testing.T) {
 	}
 	if !bytes.Equal(reports[0], reports[1]) {
 		t.Fatal(`checkpoint with "eager":true gives a different report`)
+	}
+	if !bytes.Equal(reports[0], reports[2]) {
+		t.Fatal(`checkpoint with "rcodes" and "udp_responses" gives a different report`)
 	}
 }
 

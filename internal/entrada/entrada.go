@@ -110,10 +110,7 @@ type Aggregates struct {
 	// Hourly counts queries per capture hour (Unix time / 3600) — the
 	// diurnal series the paper's week-long snapshots average over.
 	Hourly map[int64]uint64
-	// RCodes counts responses per RCODE (RSSAC002 rcode-volume).
-	RCodes map[dnswire.RCode]uint64
-	// UDPResponses / TCPResponses count matched responses per transport.
-	UDPResponses uint64
+	// TCPResponses counts matched responses that came over TCP.
 	TCPResponses uint64
 	// DroppedSegments counts out-of-order TCP segments discarded because a
 	// stream's reassembly buffer was full — silent data loss otherwise.
@@ -527,7 +524,6 @@ func NewAnalyzer(reg *astrie.Registry, opts ...Option) *Analyzer {
 			FocusQueries: make(map[rttKey]*FamilyCount),
 			RTTs:         make(map[rttKey]*stats.DurationReservoir),
 			Hourly:       make(map[int64]uint64),
-			RCodes:       make(map[dnswire.RCode]uint64),
 		},
 		focus:    astrie.ProviderFacebook,
 		pending:  make(map[pendingKey]pendingQuery),
@@ -806,11 +802,9 @@ func (a *Analyzer) finalize(pq pendingQuery, resp *msgMeta) {
 	} else {
 		pa.Junk++
 	}
-	ag.RCodes[resp.rcode]++
 	if pq.tcp {
 		ag.TCPResponses++
 	} else {
-		ag.UDPResponses++
 		pa.UDPResponses++
 		if resp.truncated {
 			pa.TruncatedUDP++

@@ -184,7 +184,7 @@ func TestUnansweredQueriesCountAsValid(t *testing.T) {
 	reg := astrie.NewRegistry(10)
 	an := NewAnalyzer(reg)
 	// Build a lone UDP query frame by hand.
-	asn := reg.ASNs()[0]
+	asn := astrie.ProviderASNs[astrie.ProviderMicrosoft][0]
 	client, _ := reg.ResolverAddr(asn, false, false, 1)
 	q := dnswire.NewQuery(9, "x.nl.", dnswire.TypeA)
 	wire, _ := q.Pack()

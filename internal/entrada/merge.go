@@ -10,7 +10,6 @@ func (ag *Aggregates) Merge(other *Aggregates) {
 	}
 	ag.Total += other.Total
 	ag.Valid += other.Valid
-	ag.UDPResponses += other.UDPResponses
 	ag.TCPResponses += other.TCPResponses
 	ag.DroppedSegments += other.DroppedSegments
 	for p, opa := range other.ByProvider {
@@ -57,8 +56,5 @@ func (ag *Aggregates) Merge(other *Aggregates) {
 	}
 	for h, n := range other.Hourly {
 		ag.Hourly[h] += n
-	}
-	for rc, n := range other.RCodes {
-		ag.RCodes[rc] += n
 	}
 }

@@ -71,7 +71,7 @@ func TestPropertyMergeOrderInsensitive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = r.ForEach(func(p pcapio.Packet) error {
+		err = pcapio.ForEachPacket(r, func(p pcapio.Packet) error {
 			analyzers[FlowShard(p.Data, k)].HandlePacket(p.Timestamp, p.Data)
 			return nil
 		})
@@ -129,7 +129,7 @@ func TestPropertyMergeCommutative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.ForEach(func(p pcapio.Packet) error {
+	err = pcapio.ForEachPacket(r, func(p pcapio.Packet) error {
 		analyzers[FlowShard(p.Data, 2)].HandlePacket(p.Timestamp, p.Data)
 		return nil
 	})

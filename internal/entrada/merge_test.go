@@ -46,7 +46,7 @@ func TestShardedAnalysisMatchesSingle(t *testing.T) {
 	wA := pcapio.NewWriter(&shardA)
 	wB := pcapio.NewWriter(&shardB)
 	i := 0
-	err = r.ForEach(func(p pcapio.Packet) error {
+	err = pcapio.ForEachPacket(r, func(p pcapio.Packet) error {
 		i++
 		if i%2 == 0 { // interleave so query/response pairs mostly split
 			return wB.WritePacket(p.Timestamp, p.Data)

@@ -92,7 +92,7 @@ func parityCaptures(t testing.TB) []parityCapture {
 		}
 		pc := parityCapture{origin: g.Zone().Origin}
 		p := layers.NewParser()
-		err = r.ForEach(func(pkt pcapio.Packet) error {
+		err = pcapio.ForEachPacket(r, func(pkt pcapio.Packet) error {
 			flow, err := p.Decode(pkt.Data)
 			if err != nil {
 				return err

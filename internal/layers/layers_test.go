@@ -211,17 +211,6 @@ func TestIPv4StripsLinkPadding(t *testing.T) {
 	}
 }
 
-func TestFlowReverse(t *testing.T) {
-	f := Flow{Src: v4a.Addr(), Dst: v4b.Addr(), SrcPort: 1234, DstPort: 53, Proto: IPProtoUDP}
-	r := f.Reverse()
-	if r.Src != f.Dst || r.SrcPort != 53 || r.DstPort != 1234 {
-		t.Errorf("reverse = %+v", r)
-	}
-	if r.Reverse() != f {
-		t.Error("double reverse != identity")
-	}
-}
-
 func TestMACString(t *testing.T) {
 	m := MAC{0x02, 0x42, 0xAC, 0x11, 0x00, 0x02}
 	if m.String() != "02:42:ac:11:00:02" {

@@ -32,11 +32,6 @@ type Flow struct {
 	Proto            uint8 // IPProtoUDP or IPProtoTCP
 }
 
-// Reverse returns the flow in the opposite direction.
-func (f Flow) Reverse() Flow {
-	return Flow{Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort, Proto: f.Proto}
-}
-
 // String renders the flow as "src:sp > dst:dp/proto".
 func (f Flow) String() string {
 	proto := "udp"

@@ -237,12 +237,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // resume from after ErrTruncatedRecord.
 func (r *Reader) Offset() int64 { return r.off }
 
-// SnapLen returns the snapshot length advertised by the file.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
-
-// NanosecondResolution reports whether timestamps carry nanoseconds.
-func (r *Reader) NanosecondResolution() bool { return r.nanos }
-
 // ReadPacket returns the next record. The returned Packet.Data aliases an
 // internal buffer that is overwritten by the next call; callers that retain
 // it must copy. io.EOF signals a clean end of file.
@@ -288,21 +282,4 @@ func (r *Reader) ReadPacket() (Packet, error) {
 		Data:      r.buf,
 		OrigLen:   int(origLen),
 	}, nil
-}
-
-// ForEach iterates every packet, stopping on the first error other than a
-// clean EOF. The Packet passed to fn aliases the reader's buffer.
-func (r *Reader) ForEach(fn func(Packet) error) error {
-	for {
-		pkt, err := r.ReadPacket()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(pkt); err != nil {
-			return err
-		}
-	}
 }

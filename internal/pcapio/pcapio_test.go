@@ -52,7 +52,7 @@ func roundTrip(t *testing.T, opts ...WriterOption) {
 			diff = -diff
 		}
 		maxSkew := time.Microsecond
-		if r.NanosecondResolution() {
+		if r.nanos {
 			maxSkew = 0
 		}
 		if diff > maxSkew {
@@ -162,8 +162,8 @@ func TestSnapLenTruncatesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SnapLen() != 10 {
-		t.Errorf("snaplen = %d", r.SnapLen())
+	if r.snapLen != 10 {
+		t.Errorf("snaplen = %d", r.snapLen)
 	}
 	pkt, err := r.ReadPacket()
 	if err != nil {
@@ -205,7 +205,7 @@ func TestForEach(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	err = r.ForEach(func(p Packet) error {
+	err = ForEachPacket(r, func(p Packet) error {
 		if p.Data[0] != byte(count) {
 			t.Errorf("packet %d has data %v", count, p.Data)
 		}
@@ -224,7 +224,7 @@ func TestForEachPropagatesCallbackError(t *testing.T) {
 	_ = w.Flush()
 	r, _ := NewReader(&buf)
 	sentinel := errors.New("stop")
-	if err := r.ForEach(func(Packet) error { return sentinel }); err != sentinel {
+	if err := ForEachPacket(r, func(Packet) error { return sentinel }); err != sentinel {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // shard-local and the merged result equals a single-Analyzer run.
 //
 // WritePacket must be called from a single goroutine (it satisfies
-// workload.PacketSink); Snapshot may be called from any goroutine.
+// workload.PacketSink).
 type Engine struct {
 	ctx    context.Context
 	shards []*shard
@@ -268,8 +268,3 @@ func (e *Engine) Close() (*entrada.Aggregates, error) {
 
 // Malformed returns the total undecodable frames; valid after Close.
 func (e *Engine) Malformed() uint64 { return e.malformed }
-
-// Snapshot returns the engine's live progress counters.
-func (e *Engine) Snapshot() Stats {
-	return e.cnt.snapshot(len(e.shards), 0)
-}

@@ -264,7 +264,7 @@ func TestEngineAsStreamingSink(t *testing.T) {
 	if !bytes.Equal(reportBytes(t, got, g.Registry()), reportBytes(t, want, g2.Registry())) {
 		t.Fatal("streaming engine report differs from the single analyzer")
 	}
-	if eng.Snapshot().PacketsRead == 0 {
+	if eng.cnt.snapshot(len(eng.shards), 0).PacketsRead == 0 {
 		t.Error("snapshot shows zero packets read")
 	}
 }

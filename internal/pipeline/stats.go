@@ -89,7 +89,7 @@ func (s Stats) String() string {
 }
 
 // counters is the shared mutable progress state of one run; every field is
-// updated atomically so Snapshot can be called from any goroutine.
+// updated atomically so snapshot can be called from any goroutine.
 type counters struct {
 	start      time.Time
 	read       atomic.Uint64

@@ -129,13 +129,3 @@ func (g *floodGuard) sweep(now time.Time) {
 		g.zones = make(map[string]*zoneState)
 	}
 }
-
-// Suppressed reports whether zone is currently suppressed (test and
-// metrics hook).
-func (g *floodGuard) Suppressed(zone string) bool {
-	now := g.now()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	z := g.zones[zone]
-	return z != nil && !now.After(z.suppUntil)
-}

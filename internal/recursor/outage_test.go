@@ -65,7 +65,7 @@ func TestServeStaleSurvivesBrownout(t *testing.T) {
 	if resp := r.HandleWire(warm, nil, false, sc); resp == nil {
 		t.Fatal("warm query dropped")
 	}
-	warmQueries := r.pool.Upstream(0).Queries()
+	warmQueries := r.pool.Upstream(0).queries.Load()
 	clk.Advance(31 * time.Second)
 	tr.setDown(true)
 
@@ -100,7 +100,7 @@ func TestServeStaleSurvivesBrownout(t *testing.T) {
 	if r.servfails.Load() != 0 {
 		t.Fatalf("servfails = %d during brownout, want 0", r.servfails.Load())
 	}
-	if burned := r.pool.Upstream(0).Queries() - warmQueries; burned != 1 {
+	if burned := r.pool.Upstream(0).queries.Load() - warmQueries; burned != 1 {
 		t.Fatalf("one-instant burst burned %d upstream attempts, want 1 (fail cache)", burned)
 	}
 	if r.cache.failHits.Load() == 0 {
@@ -122,7 +122,7 @@ func TestServeStaleSurvivesBrownout(t *testing.T) {
 	if got := r.staleServed.Load(); got != asks+5 {
 		t.Fatalf("staleServed = %d after sustained phase, want %d", got, asks+5)
 	}
-	burned := r.pool.Upstream(0).Queries() - warmQueries
+	burned := r.pool.Upstream(0).queries.Load() - warmQueries
 	if burned > 6 {
 		t.Fatalf("brownout leaked %d upstream attempts, want ≤ 6 (probe rate)", burned)
 	}
@@ -178,7 +178,7 @@ func TestColdMissDuringOutageServfailsWithoutStorm(t *testing.T) {
 	}
 	// Two wire attempts trip the breaker; after that only half-open
 	// probes (one per 10s window over ~25s of virtual time) get out.
-	if got := r.pool.Upstream(0).Queries(); got > 6 {
+	if got := r.pool.Upstream(0).queries.Load(); got > 6 {
 		t.Fatalf("cold-miss storm leaked %d upstream attempts, want ≤ 6", got)
 	}
 	if r.servfails.Load() != 50 {

@@ -229,9 +229,6 @@ func (r *Recursor) register(reg *telemetry.Registry) {
 // Cache exposes the answer cache (stats, tests).
 func (r *Recursor) Cache() *Cache { return r.cache }
 
-// Pool exposes the upstream pool.
-func (r *Recursor) Pool() *Pool { return r.pool }
-
 // WaitRefreshes blocks until every in-flight asynchronous stale refresh
 // has completed — tests and shutdown paths use it to make serve-stale
 // outcomes deterministic.

@@ -60,7 +60,7 @@ func query(t testing.TB, id uint16, name string, qtype dnswire.Type, edns uint16
 func upstreamQueries(r *Recursor) uint64 {
 	var n uint64
 	for i := 0; i < r.pool.Len(); i++ {
-		n += r.pool.Upstream(i).Queries()
+		n += r.pool.Upstream(i).queries.Load()
 	}
 	return n
 }
@@ -397,9 +397,9 @@ func TestAllUpstreamsDownYieldsServfail(t *testing.T) {
 		t.Fatalf("servfails = %d, want 1", r.servfails.Load())
 	}
 	// Failures are not cached: the next ask tries upstream again.
-	before := r.pool.Upstream(0).Queries()
+	before := r.pool.Upstream(0).queries.Load()
 	r.HandleWire(query(t, 8, "www.d5.nl.", dnswire.TypeA, 1232, false), nil, false, sc)
-	if r.pool.Upstream(0).Queries() == before {
+	if r.pool.Upstream(0).queries.Load() == before {
 		t.Fatal("SERVFAIL was cached")
 	}
 }

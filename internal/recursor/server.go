@@ -136,9 +136,6 @@ func (s *Server) Addr() netip.AddrPort {
 	return s.udp.Addr()
 }
 
-// Recursor returns the underlying recursor.
-func (s *Server) Recursor() *Recursor { return s.rec }
-
 // Close stops serving: listeners closed, in-flight TCP connections
 // severed, every worker drained.
 func (s *Server) Close() error {

@@ -64,7 +64,7 @@ func TestServerUDPEndToEnd(t *testing.T) {
 	if _, err := conn.Read(buf); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.Recursor().Cache().Stats(); st.Hits != 1 {
+	if st := srv.rec.Cache().Stats(); st.Hits != 1 {
 		t.Fatalf("hits = %d, want 1", st.Hits)
 	}
 }

@@ -77,9 +77,6 @@ func (u *Upstream) BreakerOpens() uint64 {
 // EWMA returns the smoothed RTT estimate (0 until first measurement).
 func (u *Upstream) EWMA() time.Duration { return time.Duration(u.ewmaNS.Load()) }
 
-// Queries returns the wire exchanges sent to this upstream.
-func (u *Upstream) Queries() uint64 { return u.queries.Load() }
-
 // observe folds one measured RTT into the estimate.
 func (u *Upstream) observe(rtt time.Duration) {
 	for {
@@ -134,18 +131,6 @@ func (p *Pool) armBreakers(cfg BreakerConfig) {
 	for _, u := range p.ups {
 		u.br = newBreaker(cfg)
 	}
-}
-
-// anyAdmissible reports whether at least one upstream would currently
-// accept an exchange — false means every breaker is open and a fill
-// would fast-fail, so the serve path should go straight to stale data.
-func (p *Pool) anyAdmissible(now time.Time) bool {
-	for _, u := range p.ups {
-		if u.admissible(now) {
-			return true
-		}
-	}
-	return false
 }
 
 // Pick chooses the next upstream by power-of-two-choices. Unmeasured

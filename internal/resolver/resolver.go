@@ -283,14 +283,6 @@ func (r *Resolver) RTT(f Family) time.Duration {
 	return r.rtt[f].srtt
 }
 
-// RTO returns the retransmission-timeout estimate (SRTT + 4·RTTVAR)
-// for a family, 0 if unmeasured.
-func (r *Resolver) RTO(f Family) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rtt[f].rto()
-}
-
 // chooseFamily implements the latency-driven preference: pick the family
 // with the lower smoothed RTT, but explore the other with ExploreProb.
 func (r *Resolver) chooseFamily() (Family, error) {

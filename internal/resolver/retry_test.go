@@ -83,7 +83,7 @@ func TestPenaltyBounded(t *testing.T) {
 	if got := r.RTT(FamilyV4); got != 10*time.Second {
 		t.Fatalf("srtt after 100 consecutive failures = %v, want the 10s cap", got)
 	}
-	if rto := r.RTO(FamilyV4); rto > 60*time.Second {
+	if rto := r.rtt[FamilyV4].rto(); rto > 60*time.Second {
 		t.Fatalf("rto grew unbounded: %v", rto)
 	}
 }

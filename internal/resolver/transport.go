@@ -117,12 +117,8 @@ type NetTransport struct {
 	// Timeout bounds each exchange (default 5s).
 	Timeout time.Duration
 
-	strays atomic.Uint64
+	strays atomic.Uint64 // datagrams the read loop discarded
 }
-
-// StrayDatagrams counts UDP datagrams discarded by the hardened read
-// loop (wrong source, mismatched ID, unparseable payload).
-func (t *NetTransport) StrayDatagrams() uint64 { return t.strays.Load() }
 
 // Exchange implements Transport.
 func (t *NetTransport) Exchange(q *dnswire.Message, tcp bool) (*dnswire.Message, time.Duration, error) {

@@ -96,7 +96,7 @@ func TestNetTransportStrayDatagramTolerance(t *testing.T) {
 	if resp.Header.ID != 41 || !resp.Header.Response {
 		t.Fatalf("resp header = %+v", resp.Header)
 	}
-	if got := tr.StrayDatagrams(); got != 4 {
+	if got := tr.strays.Load(); got != 4 {
 		t.Errorf("stray datagrams = %d, want 4 (spoofed source, garbage, wrong ID, non-response)", got)
 	}
 }

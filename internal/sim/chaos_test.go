@@ -59,7 +59,12 @@ func chaosRun(t *testing.T, fcfg *faults.Config, rcfg resolver.Config, n int) ([
 			failures++
 		}
 	}
-	rep := faults.Robustness(r.Stats(), uint64(n), uint64(failures), sm.FaultStats())
+	// The one resolver has its own injector when fcfg is set.
+	var fs faults.Stats
+	if len(sm.injectors) > 0 {
+		fs = sm.injectors[0].Stats()
+	}
+	rep := faults.Robustness(r.Stats(), uint64(n), uint64(failures), fs)
 	return buf.Bytes(), rep, failures
 }
 

@@ -183,19 +183,6 @@ func (s *Sim) AddResolver(spec ResolverSpec) (*resolver.Resolver, error) {
 	return r, nil
 }
 
-// FaultStats merges the injected-fault counters of every impaired
-// resolver path in the simulation.
-func (s *Sim) FaultStats() faults.Stats {
-	s.mu.Lock()
-	injectors := append([]*faults.Injector(nil), s.injectors...)
-	s.mu.Unlock()
-	var out faults.Stats
-	for _, inj := range injectors {
-		out.Merge(inj.Stats())
-	}
-	return out
-}
-
 // allocPort hands out ephemeral ports.
 func (s *Sim) allocPort() uint16 {
 	s.mu.Lock()

@@ -44,23 +44,6 @@ type Resilience struct {
 	UpstreamFailures uint64
 }
 
-// Merge adds other's counters into r.
-func (r *Resilience) Merge(other Resilience) {
-	r.StubQueries += other.StubQueries
-	r.Servfails += other.Servfails
-	r.FloodRefused += other.FloodRefused
-	r.FreshHits += other.FreshHits
-	r.StaleServed += other.StaleServed
-	r.StaleRefreshes += other.StaleRefreshes
-	r.FailCacheHits += other.FailCacheHits
-	r.BreakerFastFails += other.BreakerFastFails
-	r.BreakerOpens += other.BreakerOpens
-	r.RRLDrops += other.RRLDrops
-	r.RRLSlips += other.RRLSlips
-	r.UpstreamQueries += other.UpstreamQueries
-	r.UpstreamFailures += other.UpstreamFailures
-}
-
 // Answered is how many stub queries got a usable answer: everything
 // that neither surfaced SERVFAIL nor was refused by the flood guard
 // (RRL drops never reached the recursor and are not part of

@@ -46,22 +46,6 @@ type Robustness struct {
 	FaultsInjected uint64
 }
 
-// Merge adds other's counters into r.
-func (r *Robustness) Merge(other Robustness) {
-	r.Lookups += other.Lookups
-	r.Failures += other.Failures
-	r.LogicalExchanges += other.LogicalExchanges
-	r.WireQueries += other.WireQueries
-	r.Retries += other.Retries
-	r.AttemptErrors += other.AttemptErrors
-	r.ServfailRetries += other.ServfailRetries
-	r.FailedExchanges += other.FailedExchanges
-	r.TCPQueries += other.TCPQueries
-	r.TCPFallbacks += other.TCPFallbacks
-	r.CacheHits += other.CacheHits
-	r.FaultsInjected += other.FaultsInjected
-}
-
 // Amplification is the retry-amplification factor: wire queries per
 // logical exchange. A perfect network holds it at exactly 1.0 (TCP
 // fallback aside); loss pushes it toward 1 + retry budget.

@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestRobustnessMerge(t *testing.T) {
-	a := Robustness{Lookups: 10, WireQueries: 12, LogicalExchanges: 10, Retries: 2, TCPQueries: 1}
-	b := Robustness{Lookups: 5, Failures: 1, WireQueries: 9, LogicalExchanges: 5,
-		AttemptErrors: 4, ServfailRetries: 1, FailedExchanges: 1, TCPFallbacks: 1,
-		CacheHits: 2, FaultsInjected: 6}
-	a.Merge(b)
-	want := Robustness{Lookups: 15, Failures: 1, LogicalExchanges: 15, WireQueries: 21,
-		Retries: 2, AttemptErrors: 4, ServfailRetries: 1, FailedExchanges: 1,
-		TCPQueries: 1, TCPFallbacks: 1, CacheHits: 2, FaultsInjected: 6}
-	if a != want {
-		t.Fatalf("merged = %+v, want %+v", a, want)
-	}
-}
-
 func TestRobustnessRatios(t *testing.T) {
 	r := Robustness{
 		Lookups: 100, Failures: 5,

@@ -99,9 +99,6 @@ func (h *Histogram) Add(v int) { h.counts[v]++; h.total++ }
 // AddN records n observations of value v.
 func (h *Histogram) AddN(v int, n uint64) { h.counts[v] += n; h.total += n }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
 // Count returns the observations of value v.
 func (h *Histogram) Count(v int) uint64 { return h.counts[v] }
 

@@ -79,7 +79,7 @@ func TestPropertyCDFMonotone(t *testing.T) {
 			}
 			last, lastF = p.Value, p.Fraction
 		}
-		if h.Total() == 0 {
+		if h.total == 0 {
 			return len(cdf) == 0
 		}
 		return cdf[len(cdf)-1].Fraction == 1
@@ -158,8 +158,8 @@ func TestHistogram(t *testing.T) {
 	h.Add(512)
 	h.Add(512)
 	h.AddN(1232, 2)
-	if h.Total() != 4 || h.Count(512) != 2 || h.Count(1232) != 2 || h.Count(999) != 0 {
-		t.Errorf("histogram state wrong: total=%d", h.Total())
+	if h.total != 4 || h.Count(512) != 2 || h.Count(1232) != 2 || h.Count(999) != 0 {
+		t.Errorf("histogram state wrong: total=%d", h.total)
 	}
 	vals := h.Values()
 	if len(vals) != 2 || vals[0] != 512 || vals[1] != 1232 {
@@ -177,7 +177,7 @@ func TestHistogramMerge(t *testing.T) {
 	b.Add(1)
 	b.Add(2)
 	a.Merge(b)
-	if a.Total() != 3 || a.Count(1) != 2 || a.Count(2) != 1 {
+	if a.total != 3 || a.Count(1) != 2 || a.Count(2) != 1 {
 		t.Error("merge wrong")
 	}
 }

@@ -110,7 +110,7 @@ func BenchmarkEngineEchoMultiSocket(b *testing.B) {
 				b.Errorf("queue: %v", err)
 				return
 			}
-			if cb.Pending() < 32 {
+			if cb.pending < 32 {
 				continue // fill the window before flushing
 			}
 			if err := flushAndDrain(uconn, cb, 32); err != nil {
@@ -118,7 +118,7 @@ func BenchmarkEngineEchoMultiSocket(b *testing.B) {
 				return
 			}
 		}
-		if p := cb.Pending(); p > 0 {
+		if p := cb.pending; p > 0 {
 			if err := flushAndDrain(uconn, cb, p); err != nil {
 				b.Errorf("%v", err)
 			}

@@ -57,12 +57,6 @@ func (c *ClientBatch) Batched() bool { return false }
 // Linux sendmsg feature. Always reports false.
 func (c *ClientBatch) EnableGSO() bool { return false }
 
-// GSO reports whether segmentation-offload sending is active.
-func (c *ClientBatch) GSO() bool { return false }
-
-// Pending is the number of queued-but-unflushed datagrams.
-func (c *ClientBatch) Pending() int { return c.pending }
-
 // Queue copies pkt into the send arena, flushing first when the batch is
 // full. Packets larger than the slot size are rejected.
 func (c *ClientBatch) Queue(pkt []byte) error {

@@ -133,12 +133,6 @@ func (c *ClientBatch) EnableGSO() bool {
 	return true
 }
 
-// GSO reports whether segmentation-offload sending is active.
-func (c *ClientBatch) GSO() bool { return c.gso }
-
-// Pending is the number of queued-but-unflushed datagrams.
-func (c *ClientBatch) Pending() int { return c.pending }
-
 // Queue copies pkt into the send arena, flushing first when the batch is
 // full. Packets larger than the slot size are rejected.
 func (c *ClientBatch) Queue(pkt []byte) error {

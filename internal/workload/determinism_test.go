@@ -139,7 +139,7 @@ func TestMergedTimestampsMonotone(t *testing.T) {
 	}
 	var prev time.Time
 	n := 0
-	if err := r.ForEach(func(p pcapio.Packet) error {
+	if err := pcapio.ForEachPacket(r, func(p pcapio.Packet) error {
 		if p.Timestamp.Before(prev) {
 			t.Fatalf("packet %d at %v precedes previous %v", n, p.Timestamp, prev)
 		}

@@ -196,15 +196,7 @@ func (z *Zone) Size() int {
 	return z.numSecond + z.numThird
 }
 
-// NumSecondLevel and NumThirdLevel return the registration split
-// (Table 2 reports .nz had 140-141K second-level and 569-580K third-level
-// domains).
-func (z *Zone) NumSecondLevel() int { return z.numSecond }
-
-// NumThirdLevel returns the number of third-level delegations.
-func (z *Zone) NumThirdLevel() int { return z.numThird }
-
-// DomainName returns the rank-th delegated name. Ranks < NumSecondLevel are
+// DomainName returns the rank-th delegated name. Ranks below numSecond are
 // second-level ("d<rank>.nl."); the rest are third-level under a category
 // ("d<rank>.co.nz.").
 func (z *Zone) DomainName(rank int) (string, error) {
@@ -220,9 +212,6 @@ func (z *Zone) DomainName(rank int) (string, error) {
 	cat := z.categories[(rank-z.numSecond)%len(z.categories)]
 	return fmt.Sprintf("d%d.%s.%s", rank, cat, z.Origin), nil
 }
-
-// TLDs returns the root zone's delegated labels (nil for ccTLDs).
-func (z *Zone) TLDs() []string { return z.tldList }
 
 // Delegation maps any query name at or below a registered delegation to
 // that delegation. It returns ok=false for the apex itself, for names not

@@ -59,11 +59,11 @@ func TestZoneConstructorsValidate(t *testing.T) {
 
 func TestSizesMatchConfiguration(t *testing.T) {
 	nl, nz := newNL(t), newNZ(t)
-	if nl.Size() != 10000 || nl.NumSecondLevel() != 10000 || nl.NumThirdLevel() != 0 {
-		t.Errorf("nl sizes: %d/%d/%d", nl.Size(), nl.NumSecondLevel(), nl.NumThirdLevel())
+	if nl.Size() != 10000 || nl.numSecond != 10000 || nl.numThird != 0 {
+		t.Errorf("nl sizes: %d/%d/%d", nl.Size(), nl.numSecond, nl.numThird)
 	}
-	if nz.Size() != 7100 || nz.NumSecondLevel() != 1400 || nz.NumThirdLevel() != 5700 {
-		t.Errorf("nz sizes: %d/%d/%d", nz.Size(), nz.NumSecondLevel(), nz.NumThirdLevel())
+	if nz.Size() != 7100 || nz.numSecond != 1400 || nz.numThird != 5700 {
+		t.Errorf("nz sizes: %d/%d/%d", nz.Size(), nz.numSecond, nz.numThird)
 	}
 }
 

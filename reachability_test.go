@@ -24,9 +24,14 @@ import (
 // included, so the gate needs no build cache and no download. The roots are
 // main in every command (cmd/* and bench/dnsbench), plus every init and every
 // package-level var of a package linked into one. From a root, every
-// package-level object its declaration names is reachable. A reachable named
-// type keeps all its methods, so interface satisfaction needs no call graph;
-// the gate therefore under-counts dead code and never over-counts it.
+// package-level object or method its declaration names is reachable, a
+// method value or an instantiated generic's method included. A reachable
+// named type keeps only those of its methods that reached code names, and
+// those whose name is a method of some interface: one declared in our
+// packages, one exported by a standard package they import, error, or
+// Is/As/Unwrap, which errors calls through anonymous interfaces. Matching by
+// name alone needs no call graph, so the gate may keep a dead method but
+// never flags a live one.
 // A parenthesized const block is one declaration, so an enum stays whole.
 // examples/ are neither roots nor checked, and test files are not read:
 // a declaration that only tests use is dead product code.
@@ -36,37 +41,8 @@ import (
 // only shrink.
 func TestReachability(t *testing.T) {
 	start := time.Now()
-	l := newReachLoader(t)
-	units, byObj := l.declUnits()
-
-	reached := make(map[*reachUnit]bool)
-	var work []*reachUnit
-	mark := func(u *reachUnit) {
-		if u != nil && !reached[u] {
-			reached[u] = true
-			work = append(work, u)
-		}
-	}
-	for _, u := range units {
-		if u.root {
-			mark(u)
-		}
-	}
-	for len(work) > 0 {
-		u := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, m := range u.methods {
-			mark(m)
-		}
-		ast.Inspect(u.node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := u.pkg.info.Uses[id]; obj != nil {
-					mark(byObj[reachOrigin(obj)])
-				}
-			}
-			return true
-		})
-	}
+	l := newReachLoader(t, "bench", ".")
+	units, reached := l.reach()
 
 	matched := make(map[string]bool)
 	dead, deadLines, allowedLines := 0, 0, 0
@@ -100,19 +76,130 @@ func TestReachability(t *testing.T) {
 		len(units), len(reached), allowedLines, time.Since(start).Round(time.Millisecond))
 }
 
+// TestReachabilityMethodRule runs the gate over testdata/reachfixture, whose
+// command reaches a type with six methods: a dead one, one called only
+// through a local interface, a String that only fmt calls, one used only as
+// a method value, one of a generic type called through an instantiation,
+// and one called only from the dead method. The gate must flag exactly the
+// dead method and its callee.
+func TestReachabilityMethodRule(t *testing.T) {
+	l := newReachLoader(t, filepath.Join("testdata", "reachfixture"))
+	units, reached := l.reach()
+	var got []string
+	for _, u := range units {
+		if !reached[u] {
+			got = append(got, u.name)
+		}
+	}
+	sort.Strings(got)
+	want := []string{"reachfixture.Thing.Callee", "reachfixture.Thing.Dead"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("unreachable declarations = %v, want %v", got, want)
+	}
+}
+
+// reach walks from the roots and returns every declaration of the loaded
+// packages with the set of those reached.
+func (l *reachLoader) reach() ([]*reachUnit, map[*reachUnit]bool) {
+	units, byObj := l.declUnits()
+	ifaceMethods := l.interfaceMethods()
+
+	reached := make(map[*reachUnit]bool)
+	var work []*reachUnit
+	mark := func(u *reachUnit) {
+		if u != nil && !reached[u] {
+			reached[u] = true
+			work = append(work, u)
+		}
+	}
+	for _, u := range units {
+		if u.root {
+			mark(u)
+		}
+	}
+	for len(work) > 0 {
+		u := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, m := range u.methods {
+			if ifaceMethods[m.method] {
+				mark(m)
+			}
+		}
+		ast.Inspect(u.node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := u.pkg.info.Uses[id]; obj != nil {
+					mark(byObj[reachOrigin(obj)])
+				}
+			}
+			return true
+		})
+	}
+	return units, reached
+}
+
+// interfaceMethods returns the name of every method of an interface that our
+// code may call a concrete method through: interfaces written in our
+// packages, those exported by the standard packages they import (directly or
+// not), error, and the anonymous Is/As/Unwrap interfaces of errors.
+func (l *reachLoader) interfaceMethods() map[string]bool {
+	names := map[string]bool{"Error": true, "Is": true, "As": true, "Unwrap": true}
+	std := make(map[*types.Package]bool)
+	var walkStd func(p *types.Package)
+	walkStd = func(p *types.Package) {
+		for _, imp := range p.Imports() {
+			if _, mod := l.dirOf(imp.Path()); mod == "" && !std[imp] {
+				std[imp] = true
+				walkStd(imp)
+			}
+		}
+	}
+	for _, pkg := range l.order {
+		walkStd(pkg.types)
+		for _, f := range pkg.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, id := range m.Names {
+							names[id.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for p := range std {
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					names[it.Method(i).Name()] = true
+				}
+			}
+		}
+	}
+	return names
+}
+
 // unreachableAllowed names the product declarations that no command reaches
 // but that stay, each with its reason. A key is a package path (every
 // unreachable declaration in it), a package-level name, or a type (the type
 // and its methods).
 var unreachableAllowed = map[string]string{
-	"dnscentral":                               "library facade, used only by examples/; ROADMAP items 12 and 16 decide it",
-	"dnscentral/internal/sim":                  "deterministic simulator, used only by examples/fbrtt and its tests; ROADMAP items 12 and 16 decide it",
-	"dnscentral/internal/zonedb.NewLeaf":       "leaf zone that only internal/sim serves; ROADMAP items 12 and 16 decide it",
-	"dnscentral/internal/layers.BuildUDP":      "frame builder that only internal/sim uses; ROADMAP items 12 and 16 decide it",
-	"dnscentral/internal/layers.BuildTCP":      "frame builder that only internal/sim uses; ROADMAP items 12 and 16 decide it",
-	"dnscentral/internal/authserver.WithClock": "time source that only internal/sim and tests set; ROADMAP items 12 and 16 decide it",
-	"dnscentral/internal/dnswire.ValidateName": "test oracle: the dnswire and zonedb tests check name encodability with it",
-	"dnscentral/internal/authserver.Listen":    "default-config listener that only examples/ and tests call; ROADMAP items 12 and 16 decide it",
+	"dnscentral":                                         "library facade, used only by examples/; ROADMAP items 12 and 16 decide it",
+	"dnscentral/internal/sim":                            "deterministic simulator, used only by examples/fbrtt and its tests; ROADMAP items 12 and 16 decide it",
+	"dnscentral/internal/zonedb.NewLeaf":                 "leaf zone that only internal/sim serves; ROADMAP items 12 and 16 decide it",
+	"dnscentral/internal/layers.BuildUDP":                "frame builder that only internal/sim uses; ROADMAP items 12 and 16 decide it",
+	"dnscentral/internal/layers.BuildTCP":                "frame builder that only internal/sim uses; ROADMAP items 12 and 16 decide it",
+	"dnscentral/internal/authserver.WithClock":           "time source that only internal/sim and tests set; ROADMAP items 12 and 16 decide it",
+	"dnscentral/internal/dnswire.ValidateName":           "test oracle: the dnswire and zonedb tests check name encodability with it",
+	"dnscentral/internal/authserver.Listen":              "default-config listener that only examples/ and tests call; ROADMAP items 12 and 16 decide it",
+	"dnscentral/internal/authserver.Engine.Zone":         "zone accessor that only internal/sim and tests call; ROADMAP items 12 and 16 decide it",
+	"dnscentral/internal/entrada.Analyzer.AnalyzeReader": "whole-reader loop that only the facade and examples/ call; ROADMAP items 12 and 16 decide it",
 }
 
 // allowKey returns the allowlist key that covers u, or "".
@@ -150,6 +237,7 @@ type reachUnit struct {
 	lines   int
 	root    bool
 	recv    types.Object // for a method: its receiver type
+	method  string       // for a method: its name
 	methods []*reachUnit // for a type: its methods
 }
 
@@ -174,7 +262,9 @@ type reachLoader struct {
 	rootMod string // the root module's path
 }
 
-func newReachLoader(t *testing.T) *reachLoader {
+// newReachLoader loads the modules in dirs: a nested module before the one
+// that contains it, and the module whose declarations are checked last.
+func newReachLoader(t *testing.T, dirs ...string) *reachLoader {
 	// Pure-Go standard library: with cgo on, the source importer would run
 	// the cgo tool for net and os/user. The gate reads no cgo code of ours.
 	build.Default.CgoEnabled = false
@@ -185,7 +275,7 @@ func newReachLoader(t *testing.T) *reachLoader {
 		std:  importer.ForCompiler(fset, "source", nil),
 		pkgs: make(map[string]*reachPkg),
 	}
-	for _, dir := range []string{"bench", "."} {
+	for _, dir := range dirs {
 		l.mods = append(l.mods, reachModule{path: modulePath(t, dir), dir: dir})
 	}
 	l.rootMod = l.mods[len(l.mods)-1].path
@@ -361,6 +451,7 @@ func (l *reachLoader) declUnits() ([]*reachUnit, map[types.Object]*reachUnit) {
 					tn := recv.(*types.Named).Obj()
 					u := add(d, d.Doc, tn.Name()+"."+name, obj)
 					u.recv = tn
+					u.method = name
 					methods = append(methods, u)
 				case *ast.GenDecl:
 					switch d.Tok {
