@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,51 @@ func TestCLIMetricsEndpointEntrada(t *testing.T) {
 			t.Fatalf("no live pipeline_packets_total before the run ended:\n%s", out.String())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestCLIMetricsEndpointEntradaFollow scrapes /metrics from entrada
+// -follow while a writer appends to the capture: the follow reader's
+// wakeup counters and its bytes-behind gauge must be on the page, and on
+// Linux the writes themselves must have woken the reader.
+func TestCLIMetricsEndpointEntradaFollow(t *testing.T) {
+	bins := buildTools(t, "dnstracegen", "entrada")
+	dir := t.TempDir()
+	pcap := genSmallPcap(t, bins["dnstracegen"], dir, 3000)
+	live := filepath.Join(dir, "live.pcap")
+
+	cmd := exec.Command(bins["entrada"], "-follow", "-in", live, "-window", "1h",
+		"-metrics-addr", "127.0.0.1:0", "-out", filepath.Join(dir, "rep.json"))
+	out := &syncBuilder{}
+	cmd.Stdout, cmd.Stderr = out, out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Kill()
+		_, _ = cmd.Process.Wait()
+	}()
+	maddr := waitMetricsAddr(t, out)
+	appended := slowAppend(t, live, pcap, 4099, 5*time.Millisecond)
+	defer func() { <-appended }()
+
+	woken := `entrada_follow_wakeups_total{cause="event"}`
+	if runtime.GOOS != "linux" {
+		woken = `entrada_follow_wakeups_total{cause="poll"}` // no change events
+	}
+	var page string
+	waitFor(t, "follow telemetry on /metrics", 10*time.Second, func() bool {
+		page = httpGet(t, "http://"+maddr+"/metrics")
+		return metricPositive(page, woken)
+	})
+	for _, want := range []string{
+		"# TYPE entrada_follow_wakeups_total counter",
+		`entrada_follow_wakeups_total{cause="poll"} `,
+		"# TYPE entrada_follow_bytes_behind gauge",
+	} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, page)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,9 +16,17 @@ import (
 // the reader simply waits for the rest of the bytes to arrive — and a
 // rotated file (new inode at the same path, or truncate-in-place) is
 // picked up from its beginning.
+//
+// A reader that has caught up waits for the file to change, not for a
+// clock. On Linux one inotify watch on the file's directory wakes it on
+// a write, on the file appearing and on a rotation; the poll interval
+// stays as the fallback timeout, so no event is needed for correctness
+// (the inotify queue can overflow, a network filesystem sends none).
+// Elsewhere, and wherever the watch cannot be set up, the reader polls.
 
-// DefaultFollowPoll is how often a follow reader re-checks a quiet file
-// for growth.
+// DefaultFollowPoll is the fallback interval at which a follow reader
+// re-checks a quiet file for growth when no change event woke it (on
+// platforms without one, the polling period).
 const DefaultFollowPoll = 50 * time.Millisecond
 
 type followConfig struct {
@@ -30,7 +39,9 @@ type followConfig struct {
 // FollowOption configures a FollowReader.
 type FollowOption func(*followConfig)
 
-// FollowPoll sets the growth-poll interval (default DefaultFollowPoll).
+// FollowPoll sets the fallback re-check interval (default
+// DefaultFollowPoll): the longest a quiet reader waits before it looks at
+// the file again when no change event wakes it first.
 func FollowPoll(d time.Duration) FollowOption {
 	return func(c *followConfig) { c.poll = d }
 }
@@ -51,25 +62,12 @@ func FollowResumeAt(off int64) FollowOption {
 }
 
 // FollowBeforeWait makes the reader call fn, on the goroutine inside
-// ReadPacket, each time it is about to sleep for a poll interval because
-// the file has no complete record to give. A consumer that batches the
+// ReadPacket, each time it is about to wait for the file to change
+// because it has no complete record to give. A consumer that batches the
 // packets it reads flushes its partial batch there, so a quiet capture
 // holds nothing back.
 func FollowBeforeWait(fn func()) FollowOption {
 	return func(c *followConfig) { c.beforeWait = fn }
-}
-
-// wait sleeps one poll interval, or returns the context's error.
-func (c *followConfig) wait(ctx context.Context) error {
-	if c.beforeWait != nil {
-		c.beforeWait()
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-time.After(c.poll):
-		return nil
-	}
 }
 
 // FollowReader is a PacketReader that tails a growing pcap or pcapng
@@ -81,8 +79,13 @@ type FollowReader struct {
 	path string
 	cfg  followConfig
 
-	tail *tailFile
-	dec  PacketReader
+	tail  *tailFile
+	dec   PacketReader
+	watch *watcher    // nil: poll
+	timer *time.Timer // the poll's, reused by every wait
+
+	eventWakes atomic.Uint64
+	pollWakes  atomic.Uint64
 
 	committed  int64 // decoder offset after the last delivered packet
 	resumeSkip int64 // discard records ending at or before this offset
@@ -98,7 +101,8 @@ func NewFollowReader(ctx context.Context, path string, opts ...FollowOption) *Fo
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &FollowReader{ctx: ctx, path: path, cfg: cfg, resumeSkip: cfg.resumeAt}
+	return &FollowReader{ctx: ctx, path: path, cfg: cfg, resumeSkip: cfg.resumeAt,
+		watch: newWatcher(ctx, path)}
 }
 
 // Offset returns the byte offset of the last complete record delivered
@@ -113,14 +117,93 @@ func (fr *FollowReader) TruncatedTails() uint64 { return fr.truncTails }
 // Rotations counts file replacements detected and re-opened.
 func (fr *FollowReader) Rotations() uint64 { return fr.rotations }
 
-// Close releases the underlying file handle.
-func (fr *FollowReader) Close() error {
+// EventWakeups counts waits that a change event ended. It is safe to
+// call from any goroutine.
+func (fr *FollowReader) EventWakeups() uint64 { return fr.eventWakes.Load() }
+
+// PollWakeups counts waits that the fallback poll interval (or the
+// idle-exit deadline) ended. It is safe to call from any goroutine.
+func (fr *FollowReader) PollWakeups() uint64 { return fr.pollWakes.Load() }
+
+// BytesBehind returns how many bytes of the followed file lie past the
+// last delivered record: what the consumer has yet to read. It costs
+// one fstat, and is 0 while no file is open.
+func (fr *FollowReader) BytesBehind() int64 {
 	if fr.tail == nil {
-		return nil
+		return 0
 	}
-	err := fr.tail.f.Close()
-	fr.tail, fr.dec = nil, nil
+	fi, err := fr.tail.f.Stat()
+	if err != nil {
+		return 0
+	}
+	return max(fi.Size()-fr.committed, 0)
+}
+
+// Close releases the file handle and the change watcher; a reader used
+// after Close polls.
+func (fr *FollowReader) Close() error {
+	var err error
+	if fr.watch != nil {
+		err = fr.watch.close()
+		fr.watch = nil
+	}
+	if fr.tail != nil {
+		err = errors.Join(fr.tail.f.Close(), err)
+		fr.tail, fr.dec = nil, nil
+	}
 	return err
+}
+
+// wait blocks until the file may have changed: a change event, the poll
+// interval or the idle deadline (when not zero), whichever comes first.
+// It returns the context's error once the context is done.
+func (fr *FollowReader) wait(idleDeadline time.Time) error {
+	if fr.cfg.beforeWait != nil {
+		fr.cfg.beforeWait()
+	}
+	d := fr.cfg.poll
+	if !idleDeadline.IsZero() {
+		d = min(d, time.Until(idleDeadline))
+	}
+	event := false
+	if fr.watch != nil {
+		var err error
+		if event, err = fr.watch.wait(fr.ctx, d); err != nil {
+			// A watcher that fails leaves the reader polling.
+			_ = fr.watch.close()
+			fr.watch = nil
+		}
+	}
+	if fr.watch == nil {
+		fr.sleep(d)
+	}
+	if err := fr.ctx.Err(); err != nil {
+		return err
+	}
+	if event {
+		fr.eventWakes.Add(1)
+	} else {
+		fr.pollWakes.Add(1)
+	}
+	return nil
+}
+
+// sleep waits d or until the context is done, on one reused timer.
+func (fr *FollowReader) sleep(d time.Duration) {
+	if fr.timer == nil {
+		fr.timer = time.NewTimer(d)
+	} else {
+		fr.timer.Reset(d)
+	}
+	select {
+	case <-fr.ctx.Done():
+		fr.timer.Stop()
+		select { // drop a tick that fired meanwhile, so Reset starts clean
+		case <-fr.timer.C:
+		default:
+		}
+	case <-fr.timer.C:
+	}
 }
 
 // open waits for the file to exist, then builds the tail and decoder.
@@ -137,13 +220,7 @@ func (fr *FollowReader) open() error {
 				f.Close()
 				return fmt.Errorf("pcapio: follow stat: %w", serr)
 			}
-			fr.tail = &tailFile{
-				ctx:  fr.ctx,
-				f:    f,
-				path: fr.path,
-				fi:   fi,
-				cfg:  &fr.cfg,
-			}
+			fr.tail = &tailFile{fr: fr, f: f, fi: fi}
 			dec, derr := Open(fr.tail)
 			if derr != nil {
 				f.Close()
@@ -156,10 +233,10 @@ func (fr *FollowReader) open() error {
 		if !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("pcapio: follow open: %w", err)
 		}
-		if !idleDeadline.IsZero() && time.Now().After(idleDeadline) {
+		if !idleDeadline.IsZero() && !time.Now().Before(idleDeadline) {
 			return io.EOF
 		}
-		if err := fr.cfg.wait(fr.ctx); err != nil {
+		if err := fr.wait(idleDeadline); err != nil {
 			return err
 		}
 	}
@@ -226,14 +303,12 @@ func (fr *FollowReader) ReadPacket() (Packet, error) {
 }
 
 // tailFile is an io.Reader over a growing file: EOF from the underlying
-// file becomes a poll-and-retry loop that only reports io.EOF when the
+// file becomes a wait-and-retry loop that only reports io.EOF when the
 // file rotates away or stays quiet past the idle-exit deadline.
 type tailFile struct {
-	ctx  context.Context
-	f    *os.File
-	path string
-	fi   os.FileInfo
-	cfg  *followConfig
+	fr *FollowReader
+	f  *os.File
+	fi os.FileInfo
 
 	delivered int64
 	rotated   bool
@@ -241,8 +316,8 @@ type tailFile struct {
 
 func (t *tailFile) Read(p []byte) (int, error) {
 	var idleDeadline time.Time
-	if t.cfg.idleExit > 0 {
-		idleDeadline = time.Now().Add(t.cfg.idleExit)
+	if t.fr.cfg.idleExit > 0 {
+		idleDeadline = time.Now().Add(t.fr.cfg.idleExit)
 	}
 	for {
 		n, err := t.f.Read(p)
@@ -260,17 +335,17 @@ func (t *tailFile) Read(p []byte) (int, error) {
 			t.rotated = true
 			return 0, io.EOF
 		}
-		if !idleDeadline.IsZero() && time.Now().After(idleDeadline) {
+		if !idleDeadline.IsZero() && !time.Now().Before(idleDeadline) {
 			return 0, io.EOF
 		}
-		if err := t.cfg.wait(t.ctx); err != nil {
+		if err := t.fr.wait(idleDeadline); err != nil {
 			return 0, err
 		}
 	}
 }
 
 func (t *tailFile) rotatedNow() bool {
-	fi, err := os.Stat(t.path)
+	fi, err := os.Stat(t.fr.path)
 	if err != nil {
 		// Path gone: mid-rotation. Treat as rotated; the reopen path
 		// waits for the replacement to appear.

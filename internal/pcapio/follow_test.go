@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -295,5 +296,71 @@ func TestFollowReaderCancel(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled ReadPacket did not return promptly")
+	}
+}
+
+// pollOnly makes a reader poll even where it could watch the file, so a
+// test covers the fallback path on every platform.
+func pollOnly(fr *FollowReader) *FollowReader {
+	if fr.watch != nil {
+		fr.watch.close()
+		fr.watch = nil
+	}
+	return fr
+}
+
+// TestFollowLongPollEnds pins what ends a wait other than a change to
+// the file. With an hour-long poll, -idle-exit still fires at its
+// deadline, and cancelling the context still ends a blocked ReadPacket,
+// both within 2 s: on a quiet file and on one that never appears, with
+// the change watcher and without it.
+func TestFollowLongPollEnds(t *testing.T) {
+	blob, _ := makePcap(t, 1)
+	dir := t.TempDir()
+	quiet := filepath.Join(dir, "quiet.pcap")
+	if err := os.WriteFile(quiet, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{quiet, filepath.Join(dir, "missing.pcap")} {
+		for _, poll := range []bool{false, true} {
+			for _, cancelled := range []bool{false, true} {
+				name := fmt.Sprintf("%s/poll=%v/cancel=%v", filepath.Base(path), poll, cancelled)
+				t.Run(name, func(t *testing.T) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					opts, want := []FollowOption{FollowPoll(time.Hour)}, context.Canceled
+					if !cancelled {
+						opts, want = append(opts, FollowIdleExit(100*time.Millisecond)), io.EOF
+					}
+					fr := NewFollowReader(ctx, path, opts...)
+					if poll {
+						pollOnly(fr)
+					}
+					defer fr.Close()
+					if path == quiet {
+						if _, err := fr.ReadPacket(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					done := make(chan error, 1)
+					go func() {
+						_, err := fr.ReadPacket()
+						done <- err
+					}()
+					if cancelled {
+						time.Sleep(20 * time.Millisecond)
+						cancel()
+					}
+					select {
+					case err := <-done:
+						if !errors.Is(err, want) {
+							t.Fatalf("got %v, want %v", err, want)
+						}
+					case <-time.After(2 * time.Second):
+						t.Fatalf("ReadPacket still blocked after 2s, want %v", want)
+					}
+				})
+			}
+		}
 	}
 }

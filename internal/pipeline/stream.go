@@ -48,6 +48,18 @@ const (
 	MetricWindowProviderShare = "entrada_window_provider_share"
 )
 
+// Follow-reader telemetry families: how the reader learns that the
+// capture grew, and how far behind the capture it is.
+const (
+	// MetricFollowWakeups counts the follow reader's waits by what ended
+	// them; series carry {cause="event"} (a change to the file) or
+	// {cause="poll"} (the fallback interval or the idle-exit deadline).
+	MetricFollowWakeups = "entrada_follow_wakeups_total"
+	// MetricFollowBytesBehind gauges the followed file's size minus the
+	// committed read offset, sampled at every window cut.
+	MetricFollowBytesBehind = "entrada_follow_bytes_behind"
+)
+
 // Window is one closed tumbling window of the capture-time query series.
 type Window struct {
 	// Index is Start.UnixNano() / Duration — consecutive windows of one
@@ -95,7 +107,10 @@ type StreamOptions struct {
 	// Resume loads CheckpointDir/entrada.ckpt if present and continues
 	// from its offset; a missing checkpoint file starts fresh.
 	Resume bool
-	// Poll is the follow poll interval (default pcapio.DefaultFollowPoll).
+	// Poll is the follow reader's fallback re-check interval (default
+	// pcapio.DefaultFollowPoll). Where the reader is woken by writes to
+	// the capture it bounds how late a missed event can leave it; where
+	// it is not, it is the polling period.
 	Poll time.Duration
 	// IdleExit ends the stream once the capture stops growing for this
 	// long (0 = follow until cancelled). Used by tests and CI for
@@ -328,6 +343,9 @@ func RunStream(ctx context.Context, input string, opts StreamOptions) (*entrada.
 	}
 	fr := pcapio.NewFollowReader(ctx, input, fopts...)
 	defer fr.Close()
+	opts.Telemetry.CounterFunc(MetricFollowWakeups+`{cause="event"}`, fr.EventWakeups)
+	opts.Telemetry.CounterFunc(MetricFollowWakeups+`{cause="poll"}`, fr.PollWakeups)
+	behind := opts.Telemetry.Gauge(MetricFollowBytesBehind)
 
 	var (
 		cur     int64 // index of the open window
@@ -342,6 +360,9 @@ func RunStream(ctx context.Context, input string, opts StreamOptions) (*entrada.
 	// window line does not wait for the marshalling. A checkpoint that the
 	// background writer failed to write fails the run at the next cut.
 	issue := func(ckpt bool) error {
+		if behind != nil {
+			behind.Set(fr.BytesBehind())
+		}
 		counts := make([]entrada.QueryCounts, len(shards))
 		window, isOpen := cur, open
 		err := eng.barrier(

@@ -409,6 +409,10 @@ func TestStreamWindowTelemetry(t *testing.T) {
 	if got := tm.FloatGauge(MetricWindowHHI).Value(); got != last.HHI {
 		t.Fatalf("%s = %v, want %v", MetricWindowHHI, got, last.HHI)
 	}
+	// The shutdown cut comes after the whole finished file was read.
+	if got := tm.Gauge(MetricFollowBytesBehind).Value(); got != 0 {
+		t.Fatalf("%s = %d, want 0", MetricFollowBytesBehind, got)
+	}
 	var sb bytes.Buffer
 	if err := tm.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -420,6 +424,7 @@ func TestStreamWindowTelemetry(t *testing.T) {
 	for _, want := range []string{
 		MetricWindowsClosed, MetricWindowQPS, MetricWindowTopShare, MetricWindowProviderShare + "{provider=",
 		shardLabel(metricShardPackets, 1), shardLabel(MetricQueueDepth, 1),
+		MetricFollowWakeups + `{cause="event"}`, MetricFollowWakeups + `{cause="poll"}`, MetricFollowBytesBehind,
 	} {
 		if !bytes.Contains(sb.Bytes(), []byte(want)) {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
